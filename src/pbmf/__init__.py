@@ -9,7 +9,6 @@ an evaluation harness for MAE, Matthew degree and the position-bias metric.
 from .baselines import RandomScorer, ZipfScorer, popularity_ranks
 from .data import (
     EmptyDatasetError,
-    Interaction,
     RatingsDataset,
     RatingsParseError,
     SchemaError,
@@ -34,7 +33,6 @@ from .model import (
     ModelCorruptionError,
     ModelFormatError,
     TopKLists,
-    cosine_similarity,
     init_model,
     load_model,
     save_model,
@@ -49,7 +47,6 @@ from .training import (
     classic_sample_gradients,
     full_loss,
     sample_gradients,
-    sample_loss,
     save_loss_history,
     train,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "DivergenceError",
     "EmptyDatasetError",
     "FactorModel",
-    "Interaction",
     "MetricsReport",
     "ModelCorruptionError",
     "ModelFormatError",
@@ -77,7 +73,6 @@ __all__ = [
     "TrainConfig",
     "ZipfScorer",
     "classic_sample_gradients",
-    "cosine_similarity",
     "evaluate_all",
     "full_loss",
     "init_model",
@@ -91,7 +86,6 @@ __all__ = [
     "report_from_row",
     "report_row",
     "sample_gradients",
-    "sample_loss",
     "save_loss_history",
     "save_model",
     "split",

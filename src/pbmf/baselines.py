@@ -53,9 +53,6 @@ class RandomScorer:
         self.n_items = int(n_items)
         self.r_max = float(r_max)
 
-    def score(self, i: int, j: int) -> float:
-        return float(_hash_uniform(self.seed, i, j))
-
     def scores_for_user(self, i: int) -> np.ndarray:
         return _hash_uniform(self.seed, i, np.arange(self.n_items))
 
@@ -90,9 +87,6 @@ class ZipfScorer:
         """Build ranks from rating counts in a (training) dataset."""
         counts = np.bincount(dataset.items, minlength=dataset.m)
         return cls(popularity_ranks(counts), dataset.r_max)
-
-    def score(self, i: int, j: int) -> float:
-        return float(self._inv_rank[j])
 
     def scores_for_user(self, i: int) -> np.ndarray:
         return self._inv_rank

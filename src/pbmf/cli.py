@@ -246,21 +246,26 @@ def _split_dataset(args: argparse.Namespace):
     return data.split(_load_dataset(args), spec)
 
 
+def _train_config(args: argparse.Namespace, algorithm: str,
+                  beta: float) -> training.TrainConfig:
+    """Training hyperparameters from the shared training flags."""
+    return training.TrainConfig(
+        algorithm=algorithm,
+        k=args.k,
+        learning_rate=args.lr,
+        beta=beta,
+        epochs=args.epochs,
+        seed=args.seed,
+        init_scale=args.init_scale,
+        shuffle_each_epoch=not args.no_shuffle,
+    )
+
+
 def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
                  args: argparse.Namespace) -> tuple[object, int, int]:
     """Train a model or construct a baseline; returns (scorer, k, epochs)."""
     if algorithm in training.ALGORITHMS:
-        config = training.TrainConfig(
-            algorithm=algorithm,
-            k=args.k,
-            learning_rate=args.lr,
-            beta=beta,
-            epochs=args.epochs,
-            seed=args.seed,
-            init_scale=args.init_scale,
-            shuffle_each_epoch=not args.no_shuffle,
-        )
-        model, _ = training.train(train_set, config)
+        model, _ = training.train(train_set, _train_config(args, algorithm, beta))
         return model, args.k, args.epochs
     if algorithm == "random":
         return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max), 0, 0
@@ -285,17 +290,7 @@ def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> 
 
 def cmd_train(args: argparse.Namespace) -> int:
     train_set, _ = _split_dataset(args)
-    config = training.TrainConfig(
-        algorithm=args.algorithm,
-        k=args.k,
-        learning_rate=args.lr,
-        beta=args.beta,
-        epochs=args.epochs,
-        seed=args.seed,
-        init_scale=args.init_scale,
-        shuffle_each_epoch=not args.no_shuffle,
-    )
-    model, history = training.train(train_set, config)
+    model, history = training.train(train_set, _train_config(args, args.algorithm, args.beta))
     save_model(model, args.output)
     history_path = Path(str(args.output) + ".history.csv")
     training.save_loss_history(history, history_path)
@@ -307,6 +302,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     train_set, test_set = _split_dataset(args)
+    if (model.n, model.m) != (train_set.n, train_set.m):
+        raise ValueError(
+            f"model {args.model} has {model.n} users x {model.m} items, "
+            f"but {args.input} has {train_set.n} users x {train_set.m} items"
+        )
     report = metrics.evaluate_all(
         model,
         train_set,

@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -35,15 +35,6 @@ class EmptyDatasetError(ValueError):
 
 class SplitError(ValueError):
     """A train/test split left one side empty."""
-
-
-class Interaction(NamedTuple):
-    """One raw (user, item, rating) record before index assignment."""
-
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: int | None = None
 
 
 @dataclass(frozen=True)

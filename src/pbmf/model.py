@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,14 +23,6 @@ class ModelFormatError(ValueError):
 
 class ModelCorruptionError(ValueError):
     """The file is a factor-model file but its payload is inconsistent."""
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray, norm_epsilon: float = 1e-12) -> float:
-    """(u . v) / max(|u| |v|, norm_epsilon); in [-1, 1] away from the clamp."""
-    denom = math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
-    if denom < norm_epsilon:
-        denom = norm_epsilon
-    return float(u @ v) / denom
 
 
 @dataclass
@@ -74,27 +65,16 @@ class FactorModel:
     def k(self) -> int:
         return int(self.U.shape[1])
 
-    # -- scalar predictions -------------------------------------------------
-
-    def predict_dot(self, i: int, j: int) -> float:
-        return float(self.U[i] @ self.V[j])
-
-    def predict_cosine(self, i: int, j: int) -> float:
-        return cosine_similarity(self.U[i], self.V[j], self.norm_epsilon)
-
-    def predicted_rating(self, i: int, j: int) -> float:
-        """Prediction mapped back to the rating scale [0, r_max]."""
-        if self.mode == "cosine":
-            c = self.predict_cosine(i, j)
-            return min(max(c, 0.0), 1.0) * self.r_max
-        return min(max(self.predict_dot(i, j), 0.0), self.r_max)
-
     # -- vectorized scoring (read-only; safe after training) -----------------
 
-    def _pair_cosines(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Score of each (users[t], items[t]) pair: U_i . V_j in dot mode,
+        U_i . V_j / max(|U_i| |V_j|, norm_epsilon) in cosine mode."""
         us = self.U[users]
         vs = self.V[items]
         dots = np.einsum("ij,ij->i", us, vs)
+        if self.mode == "dot":
+            return dots
         denom = np.maximum(
             np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1),
             self.norm_epsilon,
@@ -113,10 +93,11 @@ class FactorModel:
         return dots / denom
 
     def predicted_ratings(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Pair scores mapped back to the rating scale [0, r_max]."""
+        scores = self.pair_scores(users, items)
         if self.mode == "cosine":
-            return np.clip(self._pair_cosines(users, items), 0.0, 1.0) * self.r_max
-        dots = np.einsum("ij,ij->i", self.U[users], self.V[items])
-        return np.clip(dots, 0.0, self.r_max)
+            return np.clip(scores, 0.0, 1.0) * self.r_max
+        return np.clip(scores, 0.0, self.r_max)
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score on the normalized [~0, 1] scale compared against 1/m.
@@ -125,7 +106,7 @@ class FactorModel:
         predicted rating / r_max.
         """
         if self.mode == "cosine":
-            return self._pair_cosines(users, items)
+            return self.pair_scores(users, items)
         return self.predicted_ratings(users, items) / self.r_max
 
 
@@ -194,7 +175,8 @@ def top_k(
             keep = np.ones(row.shape[0], dtype=bool)
             keep[exclude[i]] = False
             order = order[keep[order]]
-        top = order[:k_top]
+        # Copy the head so the list does not keep the whole sorted row alive.
+        top = order[:k_top].copy()
         items.append(top)
         scores.append(row[top])
     return TopKLists(k_top=k_top, items=items, scores=scores)

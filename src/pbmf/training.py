@@ -80,29 +80,6 @@ class SampleLossBreakdown:
     total: float
 
 
-def sample_loss(
-    u: np.ndarray,
-    v: np.ndarray,
-    rating: float,
-    r_max: float,
-    m: int,
-    beta: float,
-    norm_epsilon: float = 1e-12,
-) -> SampleLossBreakdown:
-    """Per-sample loss: (r/r_max - c)^2 + beta * (c - 1/m)^2.
-
-    The penalty measures how far the predicted normalized score sits from
-    the uniform click probability 1/m.
-    """
-    nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
-    denom = max(nu * nv, norm_epsilon)
-    c = float(u @ v) / denom
-    fit = (rating / r_max - c) ** 2
-    penalty = (c - 1.0 / m) ** 2
-    return SampleLossBreakdown(fit_term=fit, penalty_term=penalty, total=fit + beta * penalty)
-
-
 def sample_gradients(
     u: np.ndarray,
     v: np.ndarray,
@@ -112,7 +89,8 @@ def sample_gradients(
     beta: float,
     norm_epsilon: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of :func:`sample_loss` with respect to u and v.
+    """Analytic gradients of the per-sample loss
+    L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with respect to u and v.
 
     With c = cos(u, v) and g = dL/dc = -2 (r/r_max - c) + 2 beta (c - 1/m):
 
@@ -147,26 +125,19 @@ def classic_sample_gradients(
 def full_loss(
     model: FactorModel,
     dataset: RatingsDataset,
-    algorithm: str,
     beta: float = 0.0,
 ) -> SampleLossBreakdown:
-    """Loss summed over every interaction in `dataset` (read-only, vectorized)."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    us = model.U[dataset.users]
-    vs = model.V[dataset.items]
-    dots = np.einsum("ij,ij->i", us, vs)
-    if algorithm == "classic_mf":
-        fit = float(((dataset.ratings - dots) ** 2).sum())
+    """Loss summed over every interaction in `dataset` (read-only, vectorized).
+
+    A dot-mode model gets the squared residual of its dot products; a
+    cosine-mode model the cosine fit plus beta times the 1/m penalty.
+    """
+    scores = model.pair_scores(dataset.users, dataset.items)
+    if model.mode == "dot":
+        fit = float(((dataset.ratings - scores) ** 2).sum())
         return SampleLossBreakdown(fit_term=fit, penalty_term=0.0, total=fit)
-    denom = np.maximum(
-        np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1), model.norm_epsilon
-    )
-    c = dots / denom
-    fit = float(((dataset.ratings / dataset.r_max - c) ** 2).sum())
-    penalty = float(((c - 1.0 / dataset.m) ** 2).sum())
-    if algorithm == "cosine_mf":
-        beta = 0.0
+    fit = float(((dataset.ratings / dataset.r_max - scores) ** 2).sum())
+    penalty = float(((scores - 1.0 / dataset.m) ** 2).sum())
     return SampleLossBreakdown(fit_term=fit, penalty_term=penalty, total=fit + beta * penalty)
 
 
@@ -225,7 +196,7 @@ def train(
                     grad_u, grad_v = sample_gradients(u, v, r, r_max, m, beta, eps)
                 u -= lr * grad_u
                 v -= lr * grad_v
-            losses = full_loss(model, dataset, config.algorithm, beta)
+            losses = full_loss(model, dataset, beta)
         if not math.isfinite(losses.total):
             raise DivergenceError(
                 f"training diverged at epoch {epoch}: non-finite loss; "

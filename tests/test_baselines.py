@@ -9,16 +9,16 @@ from conftest import make_dataset
 class TestRandomScorer:
     def test_deterministic_per_key(self):
         scorer = RandomScorer(seed=11, n_items=50, r_max=5.0)
-        assert scorer.score(3, 7) == scorer.score(3, 7)
+        assert scorer.scores_for_user(3)[7] == scorer.scores_for_user(3)[7]
 
     def test_order_independent(self):
         # Counter-based: interleaving other queries cannot change a value.
         a = RandomScorer(seed=4, n_items=10, r_max=5.0)
         b = RandomScorer(seed=4, n_items=10, r_max=5.0)
-        first = a.score(2, 5)
-        for j in range(10):
-            b.score(0, j)
-        assert b.score(2, 5) == first
+        first = a.scores_for_user(2)[5]
+        for i in range(10):
+            b.scores_for_user(i)
+        assert b.scores_for_user(2)[5] == first
 
     def test_range(self):
         scorer = RandomScorer(seed=0, n_items=1000, r_max=5.0)
@@ -83,9 +83,9 @@ class TestPopularityRanks:
 class TestZipfScorer:
     def test_scores_follow_rank(self):
         scorer = ZipfScorer(popularity_rank=np.array([1, 2, 3]), r_max=5.0)
-        assert scorer.score(0, 0) == 1.0
-        assert scorer.score(0, 1) == 0.5
-        assert scorer.score(9, 2) == pytest.approx(1.0 / 3.0)
+        assert scorer.scores_for_user(0)[0] == 1.0
+        assert scorer.scores_for_user(0)[1] == 0.5
+        assert scorer.scores_for_user(9)[2] == pytest.approx(1.0 / 3.0)
 
     def test_counts_example(self):
         # Items rated (7, 7, 3, 1, 0) times -> ranks 1..5 -> scores 1, 1/2, ...

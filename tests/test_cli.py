@@ -6,7 +6,7 @@ import pytest
 from pbmf.cli import main
 from pbmf.data import SplitSpec, load_movielens, split
 from pbmf.metrics import REPORT_COLUMNS, evaluate_all, format_value, report_from_row
-from pbmf.model import load_model
+from pbmf.model import init_model, load_model, save_model
 from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
 from pbmf.training import TrainConfig, train
 
@@ -94,6 +94,28 @@ class TestEvaluateCommand:
         report = report_from_row(rows[0])
         assert report.algorithm == "cosine_mf"
         assert report.mae >= 0.0
+
+    def _evaluate_resized_model(self, ratings_file, tmp_path, capsys, extra):
+        ds = load_movielens(ratings_file)
+        model_path = tmp_path / "other.pbmf"
+        save_model(init_model(ds.n + extra, ds.m + extra, 4, seed=0, r_max=ds.r_max), model_path)
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--input", str(ratings_file), "--model", str(model_path),
+                     "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{ds.n + extra} users x {ds.m + extra} items" in err
+        assert f"{ds.n} users x {ds.m} items" in err
+        assert not out.exists()
+
+    def test_smaller_model_rejected(self, ratings_file, tmp_path, capsys):
+        # Without the check, item ids past the model's m raise IndexError.
+        self._evaluate_resized_model(ratings_file, tmp_path, capsys, extra=-1)
+
+    def test_larger_model_rejected(self, ratings_file, tmp_path, capsys):
+        # Without the check, the data's ids silently index unrelated factor rows.
+        self._evaluate_resized_model(ratings_file, tmp_path, capsys, extra=1)
 
 
 class TestBenchmarkCommand:

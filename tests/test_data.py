@@ -5,7 +5,6 @@ import pytest
 
 from pbmf.data import (
     EmptyDatasetError,
-    Interaction,
     RatingsParseError,
     SchemaError,
     SplitError,
@@ -14,12 +13,6 @@ from pbmf.data import (
     load_movielens,
     split,
 )
-
-
-def test_interaction_fields():
-    record = Interaction(user_id="1", item_id="10", rating=5.0)
-    assert record.timestamp is None
-    assert record == ("1", "10", 5.0, None)
 
 from conftest import DATA_DIR, make_dataset
 

@@ -7,7 +7,6 @@ from pbmf.model import (
     FactorModel,
     ModelCorruptionError,
     ModelFormatError,
-    cosine_similarity,
     init_model,
     load_model,
     save_model,
@@ -59,58 +58,79 @@ def _model_from_rows(u_row, v_row, mode="cosine", r_max=5.0):
     )
 
 
+def _pair_score(model):
+    return float(model.pair_scores(np.array([0]), np.array([0]))[0])
+
+
+def _predicted_rating(model):
+    return float(model.predicted_ratings(np.array([0]), np.array([0]))[0])
+
+
+def _cosine_oracle(u, v, norm_epsilon=1e-12):
+    """Plain-Python cosine with the clamped denominator."""
+    denom = max(math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), norm_epsilon)
+    return float(u @ v) / denom
+
+
 class TestPredictions:
     def test_cosine_parallel(self):
         m = _model_from_rows([1.0, 0.0], [1.0, 0.0])
-        assert m.predict_cosine(0, 0) == pytest.approx(1.0)
+        assert _pair_score(m) == pytest.approx(1.0)
 
     def test_cosine_orthogonal(self):
         m = _model_from_rows([1.0, 0.0], [0.0, 1.0])
-        assert m.predict_cosine(0, 0) == pytest.approx(0.0)
+        assert _pair_score(m) == pytest.approx(0.0)
 
     def test_cosine_arithmetic(self):
         # (1,2).(3,4) = 11, |u| = sqrt(5), |v| = 5.
         m = _model_from_rows([1.0, 2.0], [3.0, 4.0])
         expected = 11.0 / (math.sqrt(5.0) * 5.0)
-        assert m.predict_cosine(0, 0) == pytest.approx(expected, abs=1e-12)
+        assert _pair_score(m) == pytest.approx(expected, abs=1e-12)
+        assert m.scores_for_user(0)[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.98387, abs=1e-5)
 
     def test_dot(self):
-        assert _model_from_rows([1.0, 0.0], [1.0, 0.0], mode="dot").predict_dot(0, 0) == 1.0
-        assert _model_from_rows([0.0, 0.0], [3.0, 4.0], mode="dot").predict_dot(0, 0) == 0.0
-        assert _model_from_rows([1.0, 2.0], [3.0, 4.0], mode="dot").predict_dot(0, 0) == 11.0
+        for u_row, v_row, want in (([1.0, 0.0], [1.0, 0.0], 1.0),
+                                   ([0.0, 0.0], [3.0, 4.0], 0.0),
+                                   ([1.0, 2.0], [3.0, 4.0], 11.0)):
+            m = _model_from_rows(u_row, v_row, mode="dot")
+            assert _pair_score(m) == want
+            assert m.scores_for_user(0)[0] == want
 
     def test_predicted_rating_cosine(self):
         m = _model_from_rows([1.0, 0.0], [1.0, 0.0], r_max=5.0)
-        assert m.predicted_rating(0, 0) == pytest.approx(5.0)
+        assert _predicted_rating(m) == pytest.approx(5.0)
         down = _model_from_rows([1.0, 0.0], [-0.2, 0.98], r_max=5.0)
-        assert down.predict_cosine(0, 0) < 0
-        assert down.predicted_rating(0, 0) == 0.0
+        assert _pair_score(down) < 0
+        assert _predicted_rating(down) == 0.0
         close = _model_from_rows([1.0, 2.0], [3.0, 4.0], r_max=5.0)
-        assert close.predicted_rating(0, 0) == pytest.approx(4.91935, abs=1e-4)
+        assert _predicted_rating(close) == pytest.approx(4.91935, abs=1e-4)
 
     def test_predicted_rating_dot_clamped(self):
         m = _model_from_rows([2.0, 0.0], [4.0, 0.0], mode="dot", r_max=5.0)
-        assert m.predicted_rating(0, 0) == 5.0
+        assert _predicted_rating(m) == 5.0
 
     def test_cosine_scale_invariance(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            u = rng.uniform(-1, 1, 6)
-            v = rng.uniform(-1, 1, 6)
-            s = rng.uniform(1e-3, 1e3)
-            base = cosine_similarity(u, v)
-            assert cosine_similarity(s * u, v) == pytest.approx(base, abs=1e-12)
+        U = rng.uniform(-1, 1, (100, 6))
+        V = rng.uniform(-1, 1, (100, 6))
+        s = rng.uniform(1e-3, 1e3, (100, 1))
+        pairs = np.arange(100)
+        base = FactorModel(U=U, V=V).pair_scores(pairs, pairs)
+        scaled = FactorModel(U=s * U, V=V).pair_scores(pairs, pairs)
+        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
 
     def test_cosine_bounded(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            u = rng.normal(size=5)
-            v = rng.normal(size=5)
-            assert abs(cosine_similarity(u, v)) <= 1.0 + 1e-12
+        model = FactorModel(U=rng.normal(size=(200, 5)), V=rng.normal(size=(200, 5)))
+        pairs = np.arange(200)
+        assert np.all(np.abs(model.pair_scores(pairs, pairs)) <= 1.0 + 1e-12)
+        assert np.all(np.abs(model.scores_for_user(0)) <= 1.0 + 1e-12)
 
     def test_degenerate_norm_is_clamped(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+        m = _model_from_rows(np.zeros(3), np.ones(3))
+        assert _pair_score(m) == 0.0
+        assert m.scores_for_user(0)[0] == 0.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -119,10 +139,11 @@ class TestPredictions:
         items = rng.integers(0, 9, 30)
         pair = model.predicted_ratings(users, items)
         for got, (i, j) in zip(pair, zip(users, items)):
-            assert got == pytest.approx(model.predicted_rating(int(i), int(j)), abs=1e-12)
+            c = _cosine_oracle(model.U[i], model.V[j])
+            assert got == pytest.approx(min(max(c, 0.0), 1.0) * 4.0, abs=1e-12)
         rows = model.scores_for_user(3)
         for j in range(9):
-            assert rows[j] == pytest.approx(model.predict_cosine(3, j), abs=1e-12)
+            assert rows[j] == pytest.approx(_cosine_oracle(model.U[3], model.V[j]), abs=1e-12)
 
 
 class _StubScorer:
@@ -168,6 +189,19 @@ class TestTopK:
     def test_accepts_plain_callable(self):
         lists = top_k(lambda i: np.array([0.1, 0.9]), n_users=2, k_top=1)
         assert [x.tolist() for x in lists.items] == [[1], [1]]
+
+    def test_lists_keep_only_their_own_entries(self):
+        # Each returned array must own (or share) at most k_top entries per
+        # user, not the user's whole sorted row of m indices.
+        rng = np.random.default_rng(14)
+        n, m, k_top = 20, 50, 3
+        exclude = [rng.choice(m, 5, replace=False) for _ in range(n)]
+        lists = top_k(_StubScorer(rng.random((n, m))), n_users=n, k_top=k_top,
+                      exclude=exclude)
+        for arrays in (lists.items, lists.scores):
+            bases = {id(a.base if a.base is not None else a):
+                     (a.base if a.base is not None else a).size for a in arrays}
+            assert sum(bases.values()) <= n * k_top
 
     def test_rejects_bad_k_top(self):
         with pytest.raises(ValueError):

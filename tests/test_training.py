@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pbmf.data import EmptyDatasetError
+from pbmf.model import FactorModel
 from pbmf.training import (
     DivergenceError,
     TrainConfig,
     classic_sample_gradients,
     full_loss,
     sample_gradients,
-    sample_loss,
     save_loss_history,
     train,
 )
@@ -39,23 +40,42 @@ def relative_error(got, want):
     return float(np.abs(got - want).max()) / scale
 
 
+def plain_cosine(u, v, norm_epsilon=1e-12):
+    """Cosine with the clamped denominator, in plain Python math."""
+    denom = max(math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), norm_epsilon)
+    return float(u @ v) / denom
+
+
+def plain_loss(u, v, rating, r_max, m, beta):
+    """Per-sample loss oracle: (r/r_max - c)^2 + beta * (c - 1/m)^2."""
+    c = plain_cosine(u, v)
+    return (rating / r_max - c) ** 2 + beta * (c - 1.0 / m) ** 2
+
+
+def one_sample_loss(u, v, rating, r_max, m, beta):
+    """full_loss of a cosine model over the single interaction (0, 0)."""
+    model = FactorModel(U=np.array([u], dtype=float), V=np.array([v], dtype=float))
+    dataset = replace(make_dataset([0], [0], [rating], n=1, m=m), r_max=r_max)
+    return full_loss(model, dataset, beta)
+
+
 class TestSampleLoss:
     def test_perfect_fit_no_penalty(self):
         u = np.array([1.0, 0.0])
-        entry = sample_loss(u, u, rating=5.0, r_max=5.0, m=10, beta=0.0)
+        entry = one_sample_loss(u, u, rating=5.0, r_max=5.0, m=10, beta=0.0)
         assert entry.total == pytest.approx(0.0, abs=1e-15)
 
     def test_penalty_zero_at_uniform_target(self):
         # With m = 1 the uniform target is 1, hit exactly by identical vectors
         # whose norm is exactly representable (|(3, 4)| = 5).
         u = np.array([3.0, 4.0])
-        entry = sample_loss(u, u, rating=3.0, r_max=5.0, m=1, beta=7.0)
+        entry = one_sample_loss(u, u, rating=3.0, r_max=5.0, m=1, beta=7.0)
         assert entry.penalty_term == 0.0
 
     def test_arithmetic_case(self):
         u = np.array([1.0, 2.0])
         v = np.array([3.0, 4.0])
-        entry = sample_loss(u, v, rating=4.0, r_max=5.0, m=10, beta=0.5)
+        entry = one_sample_loss(u, v, rating=4.0, r_max=5.0, m=10, beta=0.5)
         c = 11.0 / (math.sqrt(5.0) * 5.0)
         assert entry.fit_term == pytest.approx((0.8 - c) ** 2, abs=1e-14)
         assert entry.penalty_term == pytest.approx((c - 0.1) ** 2, abs=1e-14)
@@ -67,7 +87,7 @@ class TestSampleLoss:
             u = rng.uniform(0.1, 1, 4)
             v = rng.uniform(0.1, 1, 4)
             beta = rng.uniform(0, 2)
-            entry = sample_loss(u, v, rating=3.0, r_max=5.0, m=20, beta=beta)
+            entry = one_sample_loss(u, v, rating=3.0, r_max=5.0, m=20, beta=beta)
             assert entry.total == pytest.approx(
                 entry.fit_term + beta * entry.penalty_term, abs=1e-12
             )
@@ -77,7 +97,7 @@ class TestSampleLoss:
         u = np.array([1.0, 2.0])
         v = np.array([3.0, 4.0])
         totals = [
-            sample_loss(u, v, rating=4.0, r_max=5.0, m=10, beta=b).total
+            one_sample_loss(u, v, rating=4.0, r_max=5.0, m=10, beta=b).total
             for b in (0.0, 0.1, 0.5, 1.0, 2.0)
         ]
         assert all(a < b for a, b in zip(totals, totals[1:]))
@@ -107,7 +127,7 @@ class TestSampleGradients:
             u = rng.uniform(0.05, 1.0, 8)
             v = rng.uniform(0.05, 1.0, 8)
             rating = rng.uniform(1.0, 5.0)
-            loss_fn = lambda a, b: sample_loss(a, b, rating, 5.0, 100, beta).total
+            loss_fn = lambda a, b: plain_loss(a, b, rating, 5.0, 100, beta)
             gu, gv = sample_gradients(u, v, rating, 5.0, 100, beta)
             fu, fv = fd_gradients(loss_fn, u, v)
             assert relative_error(gu, fu) < 1e-5
@@ -161,9 +181,7 @@ def brute_force_loss(model, dataset, algorithm, beta):
         if algorithm == "classic_mf":
             fit += (float(r) - float(u @ v)) ** 2
             continue
-        c = float(u @ v) / max(
-            math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), model.norm_epsilon
-        )
+        c = plain_cosine(u, v, model.norm_epsilon)
         fit += (float(r) / dataset.r_max - c) ** 2
         penalty += (c - 1.0 / dataset.m) ** 2
     if algorithm == "cosine_mf":
@@ -206,7 +224,7 @@ class TestTrain:
         assert history[-1].fit_term == pytest.approx(fit, abs=1e-10)
         assert history[-1].penalty_term == pytest.approx(penalty, abs=1e-10)
         assert history[-1].total == pytest.approx(total, abs=1e-10)
-        reported = full_loss(model, ds, algorithm, beta)
+        reported = full_loss(model, ds, beta)
         assert reported == history[-1]
 
     def test_deterministic_runs(self):
