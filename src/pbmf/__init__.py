@@ -25,7 +25,6 @@ from .metrics import (
     mae,
     matthew_degree,
     position_bias_metric,
-    report_from_row,
     report_row,
 )
 from .model import (
@@ -83,7 +82,6 @@ __all__ = [
     "matthew_degree",
     "popularity_ranks",
     "position_bias_metric",
-    "report_from_row",
     "report_row",
     "sample_gradients",
     "save_loss_history",

@@ -42,13 +42,14 @@ def popularity_ranks(counts: np.ndarray) -> np.ndarray:
 
 
 class RandomScorer:
-    """Scores every (user, item) pair with an i.i.d.-style uniform value."""
+    """Scores every (user, item) pair with an i.i.d.-style uniform value.
 
-    kind = "random"
+    The seed keys a 64-bit hash, so it must lie in [0, 2**64).
+    """
 
     def __init__(self, seed: int, n_items: int, r_max: float):
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         self.seed = int(seed)
         self.n_items = int(n_items)
         self.r_max = float(r_max)
@@ -70,14 +71,11 @@ class ZipfScorer:
     ranked items is 1, 1/2, 1/3, ... — the Zipf click profile.
     """
 
-    kind = "zipf"
-
     def __init__(self, popularity_rank: np.ndarray, r_max: float):
         ranks = np.asarray(popularity_rank, dtype=np.int64)
         m = ranks.shape[0]
         if not np.array_equal(np.sort(ranks), np.arange(1, m + 1)):
             raise ValueError("popularity_rank must be a bijection onto 1..m")
-        self.popularity_rank = ranks
         self.r_max = float(r_max)
         self._inv_rank = 1.0 / ranks
         self._inv_rank.setflags(write=False)

@@ -24,7 +24,6 @@ from . import baselines, data, metrics, training
 from .model import load_model, save_model
 
 BENCHMARK_ALGORITHMS = ("classic_mf", "cosine_mf", "position_bias_mf", "random", "zipf")
-_VARIANT_MAP = {"literal": "literal_xmax", "pareto": "pareto_xmin"}
 
 
 def _positive_int(text: str) -> int:
@@ -131,7 +130,7 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
 def _add_metric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-top", type=_positive_int, default=10,
                    help="recommendation-list length for the Matthew degree")
-    p.add_argument("--matthew-variant", choices=("literal", "pareto"), default="literal",
+    p.add_argument("--matthew-variant", choices=metrics.MATTHEW_VARIANTS, default="literal",
                    help="reference frequency in the Matthew degree: max (literal) or min (pareto)")
 
 
@@ -312,7 +311,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         train_set,
         test_set,
         k_top=args.k_top,
-        matthew_variant=_VARIANT_MAP[args.matthew_variant],
+        matthew_variant=args.matthew_variant,
         algorithm=args.label,
     )
     row = metrics.report_row(report, k=model.k, epochs=0, seed=args.seed)
@@ -335,7 +334,7 @@ def _run_benchmark(args: argparse.Namespace, algorithms: list[str],
                     train_set,
                     test_set,
                     k_top=args.k_top,
-                    matthew_variant=_VARIANT_MAP[args.matthew_variant],
+                    matthew_variant=args.matthew_variant,
                     algorithm=algorithm,
                     beta=beta,
                 )

@@ -42,9 +42,10 @@ class RatingsDataset:
     """Immutable indexed set of (user, item, rating) interactions.
 
     `users`, `items` and `ratings` are parallel arrays; every user index is
-    in [0, n) and every item index in [0, m).  `r_max`/`r_min` are the rating
-    scale the data was observed on (splits inherit them from their parent,
-    so normalized targets rating / r_max mean the same thing everywhere).
+    in [0, n) and every item index in [0, m).  `r_max` is the top of the
+    rating scale the data was observed on (splits inherit it from their
+    parent, so normalized targets rating / r_max mean the same thing
+    everywhere).
     """
 
     users: np.ndarray
@@ -53,7 +54,6 @@ class RatingsDataset:
     n: int
     m: int
     r_max: float
-    r_min: float
     user_map: dict[str, int]
     item_map: dict[str, int]
 
@@ -81,7 +81,6 @@ class SplitSpec:
 
     test_fraction: float = 0.2
     seed: int = 0
-    drop_unseen: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
@@ -140,7 +139,6 @@ def _build_dataset(
         n=len(user_map),
         m=len(item_map),
         r_max=float(ratings.max()),
-        r_min=float(ratings.min()),
         user_map=user_map,
         item_map=item_map,
     )
@@ -219,7 +217,6 @@ def _subset(dataset: RatingsDataset, mask: np.ndarray) -> RatingsDataset:
         n=dataset.n,
         m=dataset.m,
         r_max=dataset.r_max,
-        r_min=dataset.r_min,
         user_map=dataset.user_map,
         item_map=dataset.item_map,
     )
@@ -230,10 +227,10 @@ def split(
 ) -> tuple[RatingsDataset, RatingsDataset]:
     """Partition interactions into (train, test) by a seeded uniform draw.
 
-    Both splits keep the parent's `n`, `m` and rating scale.  With
-    `drop_unseen`, test rows whose user or item never appears in train are
-    removed (and their count logged), because a per-sample factor model has
-    no parameters for them.
+    Both splits keep the parent's `n`, `m` and rating scale.  Test rows
+    whose user or item never appears in train are removed (and their count
+    logged), because a per-sample factor model has no trained parameters
+    for them.
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot split an empty dataset")
@@ -246,15 +243,14 @@ def split(
         )
     train = _subset(dataset, ~test_mask)
     test = _subset(dataset, test_mask)
-    if spec.drop_unseen:
-        keep = np.isin(test.users, train.users) & np.isin(test.items, train.items)
-        dropped = int((~keep).sum())
-        if dropped:
-            logger.info(
-                "dropped %d test interaction(s) with users/items unseen in train",
-                dropped,
-            )
-            test = _subset(test, keep)
+    keep = np.isin(test.users, train.users) & np.isin(test.items, train.items)
+    dropped = int((~keep).sum())
+    if dropped:
+        logger.info(
+            "dropped %d test interaction(s) with users/items unseen in train",
+            dropped,
+        )
+        test = _subset(test, keep)
     if len(test) == 0:
         raise SplitError("no test interactions left after dropping unseen users/items")
     return train, test

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +34,7 @@ REPORT_COLUMNS = [
     "test_size",
 ]
 
-MATTHEW_VARIANTS = ("literal_xmax", "pareto_xmin")
+MATTHEW_VARIANTS = ("literal", "pareto")
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,14 @@ def position_bias_metric(scorer, test: RatingsDataset, m: int) -> float:
     return float(np.mean((scores - 1.0 / m) ** 2))
 
 
-def matthew_degree(lists: TopKLists, variant: str = "literal_xmax") -> float:
+def matthew_degree(lists: TopKLists, variant: str = "literal") -> float:
     """Skew of item frequencies across the top-k lists.
 
     With x_i the number of lists item i appears in (restricted to items
     appearing at least once) and n' the number of such items:
 
-        literal_xmax:  1 + n' / sum(ln(x_i / max(x)))
-        pareto_xmin:   1 + n' / sum(ln(x_i / min(x)))
+        literal:  1 + n' / sum(ln(x_i / max(x)))
+        pareto:   1 + n' / sum(ln(x_i / min(x)))
 
     When every frequency is equal the sum is 0 and the degree is reported
     as the +inf sentinel.  The literal variant is <= 1 whenever finite,
@@ -93,7 +92,7 @@ def matthew_degree(lists: TopKLists, variant: str = "literal_xmax") -> float:
         return math.inf
     counts = np.bincount(np.concatenate(non_empty))
     x = counts[counts > 0].astype(np.float64)
-    ref = x.max() if variant == "literal_xmax" else x.min()
+    ref = x.max() if variant == "literal" else x.min()
     total = float(np.log(x / ref).sum())
     if total == 0.0:
         return math.inf
@@ -105,8 +104,9 @@ def evaluate_all(
     train: RatingsDataset,
     test: RatingsDataset,
     k_top: int = 10,
-    matthew_variant: str = "literal_xmax",
-    algorithm: str | None = None,
+    matthew_variant: str = "literal",
+    *,
+    algorithm: str,
     beta: float = 0.0,
 ) -> MetricsReport:
     """All three metrics for one scorer.
@@ -115,8 +115,6 @@ def evaluate_all(
     user's training items excluded.
     """
     lists = top_k(scorer, train.n, k_top, exclude=train.items_by_user())
-    if algorithm is None:
-        algorithm = getattr(scorer, "kind", type(scorer).__name__)
     return MetricsReport(
         algorithm=algorithm,
         beta=beta,
@@ -149,16 +147,3 @@ def report_row(report: MetricsReport, k: int = 0, epochs: int = 0, seed: int = 0
         format_value(report.position_bias),
         str(report.test_size),
     ]
-
-
-def report_from_row(row: Mapping[str, str]) -> MetricsReport:
-    """Parse a CSV row (as a column -> cell mapping) back into a report."""
-    return MetricsReport(
-        algorithm=row["algorithm"],
-        beta=float(row["beta"]),
-        mae=float(row["mae"]),
-        matthew_degree=float(row["matthew_degree"]),
-        position_bias=float(row["position_bias"]),
-        k_top=int(row["k_top"]),
-        test_size=int(row["test_size"]),
-    )

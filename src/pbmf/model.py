@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,6 +16,9 @@ FORMAT_VERSION = 1
 _MODE_CODES = {"dot": 0, "cosine": 1}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 _HEADER = struct.Struct("<4sBQQQBd")  # magic, version, n, m, k, mode, r_max
+
+# Floor of every cosine denominator, so a zero-norm factor row scores 0.
+NORM_EPSILON = 1e-12
 
 
 class ModelFormatError(ValueError):
@@ -30,7 +34,7 @@ class FactorModel:
     """User factors U (n x k) and item factors V (m x k) plus a prediction mode.
 
     "dot" mode scores a pair with U_i . V_j; "cosine" mode with the
-    normalized score U_i . V_j / max(|U_i| |V_j|, norm_epsilon), which is
+    normalized score U_i . V_j / max(|U_i| |V_j|, NORM_EPSILON), which is
     invariant to the scale of either factor row.  `r_max` carries the rating
     scale of the training data so scores can be mapped back to ratings.
     """
@@ -39,7 +43,6 @@ class FactorModel:
     V: np.ndarray
     mode: str = "cosine"
     r_max: float = 1.0
-    norm_epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.mode not in _MODE_CODES:
@@ -50,8 +53,6 @@ class FactorModel:
             raise ValueError(
                 f"U and V disagree on the latent dimension: {self.U.shape[1]} vs {self.V.shape[1]}"
             )
-        if self.norm_epsilon <= 0:
-            raise ValueError("norm_epsilon must be > 0")
 
     @property
     def n(self) -> int:
@@ -69,7 +70,7 @@ class FactorModel:
 
     def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score of each (users[t], items[t]) pair: U_i . V_j in dot mode,
-        U_i . V_j / max(|U_i| |V_j|, norm_epsilon) in cosine mode."""
+        U_i . V_j / max(|U_i| |V_j|, NORM_EPSILON) in cosine mode."""
         us = self.U[users]
         vs = self.V[items]
         dots = np.einsum("ij,ij->i", us, vs)
@@ -77,7 +78,7 @@ class FactorModel:
             return dots
         denom = np.maximum(
             np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1),
-            self.norm_epsilon,
+            NORM_EPSILON,
         )
         return dots / denom
 
@@ -88,7 +89,7 @@ class FactorModel:
             return dots
         denom = np.maximum(
             float(np.linalg.norm(self.U[i])) * np.linalg.norm(self.V, axis=1),
-            self.norm_epsilon,
+            NORM_EPSILON,
         )
         return dots / denom
 
@@ -119,7 +120,6 @@ def init_model(
     *,
     mode: str = "cosine",
     r_max: float = 1.0,
-    norm_epsilon: float = 1e-12,
 ) -> FactorModel:
     """Fresh model with entries drawn i.i.d. uniform on (0, scale].
 
@@ -134,14 +134,13 @@ def init_model(
     # rng.random() is uniform on [0, 1); 1 - x maps it onto (0, 1].
     U = scale * (1.0 - rng.random((n, k)))
     V = scale * (1.0 - rng.random((m, k)))
-    return FactorModel(U=U, V=V, mode=mode, r_max=r_max, norm_epsilon=norm_epsilon)
+    return FactorModel(U=U, V=V, mode=mode, r_max=r_max)
 
 
 @dataclass
 class TopKLists:
     """Per-user ranked recommendation lists (descending scores)."""
 
-    k_top: int
     items: list[np.ndarray]
     scores: list[np.ndarray]
 
@@ -150,20 +149,20 @@ class TopKLists:
 
 
 def top_k(
-    scorer: object | Callable[[int], np.ndarray],
+    scorer: object,
     n_users: int,
     k_top: int,
     exclude: Sequence[np.ndarray] | None = None,
 ) -> TopKLists:
     """Highest-scoring items per user, ties broken by ascending item index.
 
-    `scorer` is either an object exposing scores_for_user(i) or a plain
-    callable i -> score vector.  `exclude` gives per-user item indices to
-    leave out of the lists (typically each user's training items).
+    `scorer` exposes scores_for_user(i), the score of every item for user i.
+    `exclude` gives per-user item indices to leave out of the lists
+    (typically each user's training items).
     """
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
-    score_row = getattr(scorer, "scores_for_user", None) or scorer
+    score_row = scorer.scores_for_user
     items: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     for i in range(n_users):
@@ -179,7 +178,7 @@ def top_k(
         top = order[:k_top].copy()
         items.append(top)
         scores.append(row[top])
-    return TopKLists(k_top=k_top, items=items, scores=scores)
+    return TopKLists(items=items, scores=scores)
 
 
 def save_model(model: FactorModel, path: str | Path) -> None:
@@ -205,7 +204,12 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FactorModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    Raises :class:`ModelFormatError` for a file of another kind or version
+    and :class:`ModelCorruptionError` for an inconsistent payload, including
+    non-finite factors and an `r_max` that is not a finite positive number.
+    """
     blob = Path(path).read_bytes()
     if len(blob) >= len(MAGIC) and blob[: len(MAGIC)] != MAGIC:
         raise ModelFormatError(f"{path}: not a factor-model file (bad magic)")
@@ -218,6 +222,8 @@ def load_model(path: str | Path) -> FactorModel:
         raise ModelFormatError(f"{path}: unknown prediction mode code {mode_code}")
     if n < 1 or m < 1 or k < 1:
         raise ModelCorruptionError(f"{path}: impossible dimensions ({n}, {m}, {k})")
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ModelCorruptionError(f"{path}: r_max must be finite and > 0, got {r_max}")
     expected = _HEADER.size + (n * k + m * k) * 8
     if len(blob) != expected:
         raise ModelCorruptionError(
@@ -225,6 +231,8 @@ def load_model(path: str | Path) -> FactorModel:
             f"(expected {expected} bytes, found {len(blob)})"
         )
     flat = np.frombuffer(blob, dtype="<f8", count=n * k + m * k, offset=_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise ModelCorruptionError(f"{path}: factor matrices hold non-finite values")
     U = flat[: n * k].reshape(n, k).astype(np.float64)
     V = flat[n * k :].reshape(m, k).astype(np.float64)
     return FactorModel(U=U, V=V, mode=_MODE_NAMES[mode_code], r_max=r_max)

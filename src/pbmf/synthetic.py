@@ -65,7 +65,6 @@ def zipf_popularity_dataset(
         n=n_users,
         m=n_items,
         r_max=float(ratings.max()),
-        r_min=float(ratings.min()),
         user_map={str(i): i for i in range(n_users)},
         item_map={str(j): j for j in range(n_items)},
     )

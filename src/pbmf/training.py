@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import EmptyDatasetError, RatingsDataset
-from .model import FactorModel, init_model
+from .model import NORM_EPSILON, FactorModel, init_model
 
 ALGORITHMS = ("classic_mf", "cosine_mf", "position_bias_mf")
 
@@ -49,7 +49,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     init_scale: float = 0.1
-    norm_epsilon: float = 1e-12
     shuffle_each_epoch: bool = True
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.init_scale <= 0:
             raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
-        if self.norm_epsilon <= 0:
-            raise ValueError(f"norm_epsilon must be > 0, got {self.norm_epsilon}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -87,7 +84,6 @@ def sample_gradients(
     r_max: float,
     m: int,
     beta: float,
-    norm_epsilon: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the per-sample loss
     L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with respect to u and v.
@@ -98,17 +94,18 @@ def sample_gradients(
         grad_v = g * (u / (|u| |v|) - c * v / |v|^2)
 
     The direction of each gradient is tangential (grad_u . u = 0), because
-    the cosine is invariant to the length of either vector.
+    the cosine is invariant to the length of either vector.  Every
+    denominator is floored at NORM_EPSILON, as in the model's scoring.
     """
     nu2 = float(u @ u)
     nv2 = float(v @ v)
     nu = math.sqrt(nu2)
     nv = math.sqrt(nv2)
-    denom = max(nu * nv, norm_epsilon)
+    denom = max(nu * nv, NORM_EPSILON)
     c = float(u @ v) / denom
     g = -2.0 * (rating / r_max - c) + 2.0 * beta * (c - 1.0 / m)
-    grad_u = g * (v / denom - (c / max(nu2, norm_epsilon)) * u)
-    grad_v = g * (u / denom - (c / max(nv2, norm_epsilon)) * v)
+    grad_u = g * (v / denom - (c / max(nu2, NORM_EPSILON)) * u)
+    grad_v = g * (u / denom - (c / max(nv2, NORM_EPSILON)) * v)
     return grad_u, grad_v
 
 
@@ -163,7 +160,6 @@ def train(
         scale=config.init_scale,
         mode="dot" if classic else "cosine",
         r_max=dataset.r_max,
-        norm_epsilon=config.norm_epsilon,
     )
     # The shuffle stream is separate from the init stream so visit order
     # never depends on how many factors were drawn.
@@ -172,7 +168,6 @@ def train(
     lr = config.learning_rate
     r_max = dataset.r_max
     m = dataset.m
-    eps = config.norm_epsilon
     history: list[SampleLossBreakdown] = []
     for epoch in range(1, config.epochs + 1):
         if config.shuffle_each_epoch:
@@ -193,7 +188,7 @@ def train(
                 if classic:
                     grad_u, grad_v = classic_sample_gradients(u, v, r)
                 else:
-                    grad_u, grad_v = sample_gradients(u, v, r, r_max, m, beta, eps)
+                    grad_u, grad_v = sample_gradients(u, v, r, r_max, m, beta)
                 u -= lr * grad_u
                 v -= lr * grad_v
             losses = full_loss(model, dataset, beta)

@@ -22,7 +22,6 @@ def make_dataset(users, items, ratings, n=None, m=None) -> RatingsDataset:
         n=n,
         m=m,
         r_max=float(ratings.max()) if ratings.size else 1.0,
-        r_min=float(ratings.min()) if ratings.size else 1.0,
         user_map={str(i): i for i in range(n)},
         item_map={str(j): j for j in range(m)},
     )

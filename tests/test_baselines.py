@@ -61,6 +61,12 @@ class TestRandomScorer:
         with pytest.raises(ValueError):
             RandomScorer(seed=-1, n_items=5, r_max=5.0)
 
+    def test_seed_range_is_64_bits(self):
+        top = RandomScorer(seed=2**64 - 1, n_items=5, r_max=5.0).scores_for_user(0)
+        assert np.all((top >= 0.0) & (top < 1.0))
+        with pytest.raises(ValueError):
+            RandomScorer(seed=2**64, n_items=5, r_max=5.0)
+
 
 class TestPopularityRanks:
     def test_sort_by_count_then_index(self):

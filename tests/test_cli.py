@@ -1,11 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pbmf.cli import main
 from pbmf.data import SplitSpec, load_movielens, split
-from pbmf.metrics import REPORT_COLUMNS, evaluate_all, format_value, report_from_row
+from pbmf.metrics import REPORT_COLUMNS, evaluate_all, format_value
 from pbmf.model import init_model, load_model, save_model
 from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
 from pbmf.training import TrainConfig, train
@@ -22,6 +26,18 @@ def ratings_file(tmp_path):
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_pbmf(args):
+    """Run `python -m pbmf` as a child process, so an uncaught exception
+    shows up as a traceback on its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pbmf", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 class TestTrainCommand:
@@ -91,9 +107,8 @@ class TestEvaluateCommand:
         ]) == 0
         rows = read_csv_rows(out)
         assert len(rows) == 1
-        report = report_from_row(rows[0])
-        assert report.algorithm == "cosine_mf"
-        assert report.mae >= 0.0
+        assert rows[0]["algorithm"] == "cosine_mf"
+        assert float(rows[0]["mae"]) >= 0.0
 
     def _evaluate_resized_model(self, ratings_file, tmp_path, capsys, extra):
         ds = load_movielens(ratings_file)
@@ -107,6 +122,28 @@ class TestEvaluateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{ds.n + extra} users x {ds.m + extra} items" in err
         assert f"{ds.n} users x {ds.m} items" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spoil", ["nan_factor", "inf_factor", "zero_r_max"])
+    def test_corrupt_model_rejected(self, ratings_file, tmp_path, spoil):
+        # Without the check, a NaN factor writes mae=nan and r_max=0 predicts
+        # 0 for every pair; both exit 0.
+        ds = load_movielens(ratings_file)
+        model = init_model(ds.n, ds.m, 4, seed=0, r_max=ds.r_max)
+        if spoil == "nan_factor":
+            model.U[0, 0] = np.nan
+        elif spoil == "inf_factor":
+            model.V[0, 0] = np.inf
+        else:
+            model.r_max = 0.0
+        model_path = tmp_path / "model.pbmf"
+        save_model(model, model_path)
+        out = tmp_path / "report.csv"
+        result = run_pbmf(["evaluate", "--input", str(ratings_file),
+                           "--model", str(model_path), "--output", str(out)])
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert str(model_path) in result.stderr
         assert not out.exists()
 
     def test_smaller_model_rejected(self, ratings_file, tmp_path, capsys):
@@ -201,6 +238,19 @@ class TestBenchmarkCommand:
         assert "diverged" in rows[0]["error"]
         assert rows[0]["mae"] == ""
         assert rows[1]["algorithm"] == "zipf" and rows[1]["error"] == ""
+
+    def test_random_seed_beyond_64_bits_recorded(self, ratings_file, tmp_path):
+        # The random baseline hashes its seed as a 64-bit word; without the
+        # range check, 2**64 escapes as an OverflowError traceback.
+        out = tmp_path / "results.csv"
+        result = run_pbmf(["benchmark", "--input", str(ratings_file), "--algorithms",
+                           "random", "--seed", str(2**64), "--output", str(out)])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        rows = read_csv_rows(out)
+        assert len(rows) == 1 and rows[0]["algorithm"] == "random"
+        assert "2**64" in rows[0]["error"]
+        assert rows[0]["mae"] == ""
 
     def test_stdout_when_no_output(self, ratings_file, capsys):
         code = main([

@@ -44,7 +44,7 @@ class TestLoadMovielens:
     def test_fixture_counts(self):
         ds = load_movielens(DATA_DIR / "ml1m_sample.dat")
         assert (ds.n, ds.m) == (12, 9)
-        assert ds.r_max == 5.0 and ds.r_min == 1.0
+        assert ds.r_max == 5.0
 
     def test_malformed_lines_skipped(self, tmp_path, caplog):
         path = tmp_path / "messy.dat"
@@ -142,11 +142,11 @@ class TestSplit:
             n=100,
             m=50,
         )
-        train, test = split(ds, SplitSpec(test_fraction=0.2, seed=3, drop_unseen=False))
+        train, test = split(ds, SplitSpec(test_fraction=0.2, seed=3))
         assert abs(len(test) / len(ds) - 0.2) <= 0.02
 
     def test_same_seed_same_split(self, toy_dataset):
-        spec = SplitSpec(test_fraction=0.3, seed=7, drop_unseen=False)
+        spec = SplitSpec(test_fraction=0.3, seed=7)
         a_train, a_test = split(toy_dataset, spec)
         b_train, b_test = split(toy_dataset, spec)
         assert np.array_equal(a_train.users, b_train.users)
@@ -155,7 +155,7 @@ class TestSplit:
 
     def test_golden_membership(self, toy_dataset):
         # Frozen once from a reference run of seed=7, fraction=0.3.
-        train, test = split(toy_dataset, SplitSpec(test_fraction=0.3, seed=7, drop_unseen=False))
+        train, test = split(toy_dataset, SplitSpec(test_fraction=0.3, seed=7))
         train_pairs = sorted(zip(train.users.tolist(), train.items.tolist()))
         test_pairs = sorted(zip(test.users.tolist(), test.items.tolist()))
         assert train_pairs == [(0, 0), (0, 1), (0, 3), (1, 1), (1, 4), (2, 3), (2, 4), (3, 2)]
@@ -178,11 +178,10 @@ class TestSplit:
             assert len(train) + len(test) + dropped == len(ds)
 
     def test_scale_and_dims_inherited(self, toy_dataset):
-        train, test = split(toy_dataset, SplitSpec(test_fraction=0.3, seed=7, drop_unseen=False))
+        train, test = split(toy_dataset, SplitSpec(test_fraction=0.3, seed=7))
         for part in (train, test):
             assert part.n == toy_dataset.n and part.m == toy_dataset.m
             assert part.r_max == toy_dataset.r_max
-            assert part.r_min == toy_dataset.r_min
         # The test side's own max is smaller than the inherited scale here.
         assert test.ratings.max() < test.r_max
 
@@ -199,7 +198,7 @@ class TestSplit:
             if not mask[4] or mask.all() or not mask.any():
                 continue
             hit = True
-            train, test = split(ds, SplitSpec(test_fraction=0.4, seed=seed, drop_unseen=True))
+            train, test = split(ds, SplitSpec(test_fraction=0.4, seed=seed))
             pairs = set(zip(test.users.tolist(), test.items.tolist()))
             assert (2, 2) not in pairs
             assert len(train) + len(test) < len(ds)

@@ -13,7 +13,6 @@ from pbmf.metrics import (
     mae,
     matthew_degree,
     position_bias_metric,
-    report_from_row,
     report_row,
 )
 from pbmf.model import TopKLists, top_k
@@ -64,7 +63,7 @@ def lists_from_frequencies(freqs):
             items.append(item_index)
     # one single-item list per appearance keeps frequencies exact
     per_user = [np.array([j]) for j in items]
-    return TopKLists(k_top=1, items=per_user, scores=[np.array([1.0]) for _ in per_user])
+    return TopKLists(items=per_user, scores=[np.array([1.0]) for _ in per_user])
 
 
 class TestMae:
@@ -140,19 +139,19 @@ class TestPositionBias:
 class TestMatthewDegree:
     def test_equal_frequencies_is_inf(self):
         lists = lists_from_frequencies([3, 3, 3])
-        assert matthew_degree(lists, "literal_xmax") == math.inf
-        assert matthew_degree(lists, "pareto_xmin") == math.inf
+        assert matthew_degree(lists, "literal") == math.inf
+        assert matthew_degree(lists, "pareto") == math.inf
 
     def test_literal_variant_value(self):
         lists = lists_from_frequencies([4, 2, 1])
-        got = matthew_degree(lists, "literal_xmax")
+        got = matthew_degree(lists, "literal")
         want = 1.0 + 3.0 / (math.log(4 / 4) + math.log(2 / 4) + math.log(1 / 4))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(-0.44270, abs=1e-4)
 
     def test_pareto_variant_value(self):
         lists = lists_from_frequencies([4, 2, 1])
-        got = matthew_degree(lists, "pareto_xmin")
+        got = matthew_degree(lists, "pareto")
         want = 1.0 + 3.0 / (math.log(4.0) + math.log(2.0) + math.log(1.0))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(2.44270, abs=1e-4)
@@ -170,8 +169,8 @@ class TestMatthewDegree:
         for _ in range(50):
             freqs = rng.integers(1, 30, size=rng.integers(2, 12)).tolist()
             lists = lists_from_frequencies(freqs)
-            literal = matthew_degree(lists, "literal_xmax")
-            pareto = matthew_degree(lists, "pareto_xmin")
+            literal = matthew_degree(lists, "literal")
+            pareto = matthew_degree(lists, "pareto")
             if math.isfinite(literal):
                 assert literal <= 1.0
             if math.isfinite(pareto):
@@ -200,8 +199,10 @@ class TestEvaluateAll:
     def test_monotone_transform_same_matthew(self, toy_dataset):
         rng = np.random.default_rng(4)
         table = rng.random((toy_dataset.n, toy_dataset.m))
-        a = evaluate_all(TableScorer(table), toy_dataset, toy_dataset, k_top=2)
-        b = evaluate_all(TableScorer(table * 7.0), toy_dataset, toy_dataset, k_top=2)
+        a = evaluate_all(TableScorer(table), toy_dataset, toy_dataset, k_top=2,
+                         algorithm="table")
+        b = evaluate_all(TableScorer(table * 7.0), toy_dataset, toy_dataset, k_top=2,
+                         algorithm="table")
         assert a.matthew_degree == pytest.approx(b.matthew_degree)
 
     def test_zipf_composition_matches_constituents(self, toy_dataset):
@@ -240,10 +241,15 @@ class TestReportCsvRoundTrip:
         )
         row = report_row(report, k=32, epochs=20, seed=42)
         assert len(row) == len(REPORT_COLUMNS)
-        parsed = report_from_row(dict(zip(REPORT_COLUMNS, row)))
-        assert parsed.algorithm == report.algorithm
-        assert parsed.beta == pytest.approx(report.beta)
-        assert parsed.mae == pytest.approx(report.mae)
-        assert math.isinf(parsed.matthew_degree)
-        assert parsed.position_bias == pytest.approx(report.position_bias, rel=1e-5)
-        assert parsed.k_top == 10 and parsed.test_size == 123
+        assert dict(zip(REPORT_COLUMNS, row)) == {
+            "algorithm": "position_bias_mf",
+            "beta": "0.1",
+            "k": "32",
+            "epochs": "20",
+            "seed": "42",
+            "k_top": "10",
+            "mae": "0.875",
+            "matthew_degree": "inf",
+            "position_bias": "0.056667",
+            "test_size": "123",
+        }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pbmf.model import (
+    NORM_EPSILON,
     FactorModel,
     ModelCorruptionError,
     ModelFormatError,
@@ -66,9 +67,9 @@ def _predicted_rating(model):
     return float(model.predicted_ratings(np.array([0]), np.array([0]))[0])
 
 
-def _cosine_oracle(u, v, norm_epsilon=1e-12):
+def _cosine_oracle(u, v):
     """Plain-Python cosine with the clamped denominator."""
-    denom = max(math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), norm_epsilon)
+    denom = max(math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), NORM_EPSILON)
     return float(u @ v) / denom
 
 
@@ -186,10 +187,6 @@ class TestTopK:
         for a, b in zip(base.items, warped.items):
             assert a.tolist() == b.tolist()
 
-    def test_accepts_plain_callable(self):
-        lists = top_k(lambda i: np.array([0.1, 0.9]), n_users=2, k_top=1)
-        assert [x.tolist() for x in lists.items] == [[1], [1]]
-
     def test_lists_keep_only_their_own_entries(self):
         # Each returned array must own (or share) at most k_top entries per
         # user, not the user's whole sorted row of m indices.
@@ -240,6 +237,20 @@ class TestPersistence:
         path = tmp_path / "model.pbmf"
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ModelCorruptionError):
+            load_model(path)
+
+    @pytest.mark.parametrize("spoil", ["nan_factor", "inf_factor", "zero_r_max", "nan_r_max"])
+    def test_non_finite_or_bad_scale_is_corruption(self, tmp_path, spoil):
+        model = init_model(3, 4, 2, seed=0, r_max=5.0)
+        if spoil == "nan_factor":
+            model.U[1, 0] = np.nan
+        elif spoil == "inf_factor":
+            model.V[2, 1] = np.inf
+        else:
+            model.r_max = 0.0 if spoil == "zero_r_max" else np.nan
+        path = tmp_path / "model.pbmf"
+        save_model(model, path)
         with pytest.raises(ModelCorruptionError):
             load_model(path)
 

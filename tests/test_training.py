@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pbmf.data import EmptyDatasetError
-from pbmf.model import FactorModel
+from pbmf.model import NORM_EPSILON, FactorModel
 from pbmf.training import (
     DivergenceError,
     TrainConfig,
@@ -40,9 +40,9 @@ def relative_error(got, want):
     return float(np.abs(got - want).max()) / scale
 
 
-def plain_cosine(u, v, norm_epsilon=1e-12):
+def plain_cosine(u, v):
     """Cosine with the clamped denominator, in plain Python math."""
-    denom = max(math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), norm_epsilon)
+    denom = max(math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)), NORM_EPSILON)
     return float(u @ v) / denom
 
 
@@ -181,7 +181,7 @@ def brute_force_loss(model, dataset, algorithm, beta):
         if algorithm == "classic_mf":
             fit += (float(r) - float(u @ v)) ** 2
             continue
-        c = plain_cosine(u, v, model.norm_epsilon)
+        c = plain_cosine(u, v)
         fit += (float(r) / dataset.r_max - c) ** 2
         penalty += (c - 1.0 / dataset.m) ** 2
     if algorithm == "cosine_mf":
