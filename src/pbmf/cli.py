@@ -202,29 +202,21 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _apply_config(subparser: argparse.ArgumentParser, values: dict[str, str]) -> None:
-    """Install config-file values as parser defaults (so flags still override)."""
-    actions = {action.dest: action for action in subparser._actions}
+def _config_tokens(sub: argparse.ArgumentParser, values: dict[str, str]) -> list[str]:
+    """Turn the config keys that `sub` takes into flag tokens for argparse to check."""
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("help", "config")}
+    tokens: list[str] = []
     for key, raw in values.items():
         action = actions.get(key)
-        if action is None or key in ("help", "config"):
+        if action is None:
             continue  # keys for other subcommands are fine to ignore
-        if isinstance(action, argparse._StoreTrueAction):
-            value: object = _parse_bool(raw)
-        elif action.type is not None:
-            value = action.type(raw)
-        else:
-            value = raw
-        subparser.set_defaults(**{key: value})
-
-
-def _find_config(argv: list[str]) -> str | None:
-    for pos, token in enumerate(argv):
-        if token == "--config" and pos + 1 < len(argv):
-            return argv[pos + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif _parse_bool(raw):
+            tokens.append(flag)
+    return tokens
 
 
 def _load_dataset(args: argparse.Namespace) -> data.RatingsDataset:
@@ -261,15 +253,14 @@ def _train_config(args: argparse.Namespace, algorithm: str,
 
 
 def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
-                 args: argparse.Namespace) -> tuple[object, int, int]:
-    """Train a model or construct a baseline; returns (scorer, k, epochs)."""
+                 args: argparse.Namespace) -> object:
+    """Train a model or construct a baseline."""
     if algorithm in training.ALGORITHMS:
-        model, _ = training.train(train_set, _train_config(args, algorithm, beta))
-        return model, args.k, args.epochs
+        return training.train(train_set, _train_config(args, algorithm, beta))[0]
     if algorithm == "random":
-        return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max), 0, 0
+        return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max)
     if algorithm == "zipf":
-        return baselines.ZipfScorer.from_dataset(train_set), 0, 0
+        return baselines.ZipfScorer.from_dataset(train_set)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -326,9 +317,12 @@ def _run_benchmark(args: argparse.Namespace, algorithms: list[str],
     rows: list[list[str]] = []
     had_error = False
     for algorithm in algorithms:
+        # Baselines have no latent dimension and no epochs, failed or not.
+        k_used, epochs_used = ((args.k, args.epochs) if algorithm in training.ALGORITHMS
+                               else (0, 0))
         for beta in betas if algorithm == "position_bias_mf" else [0.0]:
             try:
-                scorer, k_used, epochs_used = _make_scorer(algorithm, beta, train_set, args)
+                scorer = _make_scorer(algorithm, beta, train_set, args)
                 report = metrics.evaluate_all(
                     scorer,
                     train_set,
@@ -345,7 +339,7 @@ def _run_benchmark(args: argparse.Namespace, algorithms: list[str],
             except (ValueError, RuntimeError) as exc:
                 had_error = True
                 rows.append(
-                    [algorithm, metrics.format_value(beta), str(args.k), str(args.epochs),
+                    [algorithm, metrics.format_value(beta), str(k_used), str(epochs_used),
                      str(args.seed), str(args.k_top), "", "", "", "", str(exc)]
                 )
     _write_csv(args.output, metrics.REPORT_COLUMNS + ["error"], rows)
@@ -365,14 +359,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = build_parser()
-    config_path = _find_config(argv)
-    if config_path:
-        try:
-            values = load_config_file(config_path)
-            for sub in subs.values():
-                _apply_config(sub, values)
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(str(exc))
+    sub = subs.get(argv[0]) if argv else None
+    if sub is not None:
+        pre = argparse.ArgumentParser(prog=sub.prog, add_help=False)
+        pre.add_argument("--config")
+        config_path = pre.parse_known_args(argv[1:])[0].config
+        if config_path:
+            try:
+                argv[1:1] = _config_tokens(sub, load_config_file(config_path))
+            except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+                sub.error(str(exc))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

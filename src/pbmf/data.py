@@ -182,9 +182,12 @@ def load_csv(
 ) -> RatingsDataset:
     """Load a delimited rating file, ignoring any extra (context) columns.
 
-    Raises :class:`SchemaError` if a data row is shorter than the requested
+    Raises :class:`ValueError` for a negative column index and
+    :class:`SchemaError` if a data row is shorter than the requested
     columns.  Duplicate (user, item) pairs keep the last occurrence.
     """
+    if min(user_col, item_col, rating_col) < 0:
+        raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
     path = Path(path)
     needed = max(user_col, item_col, rating_col) + 1
     triples: list[tuple[str, str, float]] = []

@@ -251,6 +251,7 @@ class TestBenchmarkCommand:
         assert len(rows) == 1 and rows[0]["algorithm"] == "random"
         assert "2**64" in rows[0]["error"]
         assert rows[0]["mae"] == ""
+        assert (rows[0]["k"], rows[0]["epochs"]) == ("0", "0")  # as on a baseline success
 
     def test_stdout_when_no_output(self, ratings_file, capsys):
         code = main([
@@ -342,3 +343,66 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--input", str(ratings_file), "--config", str(cfg)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["benchmark", "sweep"])
+    def test_beta_list_from_config(self, command, ratings_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algorithms = position_bias_mf\nbeta = 0,0.1,1\nk = 4\nepochs = 2\n")
+        out = tmp_path / "results.csv"
+        code = main([command, "--input", str(ratings_file), "--config", str(cfg),
+                     "--output", str(out)])
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert [r["algorithm"] for r in rows] == ["position_bias_mf"] * 3
+        assert [r["beta"] for r in rows] == ["0", "0.1", "1"]
+
+    @pytest.mark.parametrize("spelling", ["--conf {}", "--config={}"])
+    def test_config_flag_spellings(self, spelling, ratings_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algorithms = zipf\n")
+        out = tmp_path / "results.csv"
+        code = main(["benchmark", "--input", str(ratings_file),
+                     *spelling.format(cfg).split(), "--output", str(out)])
+        assert code == 0
+        assert [r["algorithm"] for r in read_csv_rows(out)] == ["zipf"]
+
+    def test_required_flag_from_config(self, ratings_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {ratings_file}\nalgorithms = zipf\n")
+        out = tmp_path / "results.csv"
+        assert main(["benchmark", "--config", str(cfg), "--output", str(out)]) == 0
+        assert [r["algorithm"] for r in read_csv_rows(out)] == ["zipf"]
+
+    @pytest.mark.parametrize("line, message", [
+        ("format = bogus", "argument --format"),
+        ("matthew-variant = bogus", "argument --matthew-variant"),
+        ("k = 0", "argument --k"),
+        ("no_shuffle = maybe", "expected a boolean, got 'maybe'"),
+    ])
+    def test_bad_config_value_is_usage_error(self, line, message, ratings_file, tmp_path,
+                                             capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr("pbmf.training.train", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"algorithms = cosine_mf\n{line}\n")
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--input", str(ratings_file), "--config", str(cfg),
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, code", [("yes", 0), ("On", 0), ("false", 1)])
+    def test_boolean_key(self, header, code, ratings_file, tmp_path):
+        lines = ratings_file.read_text().splitlines()
+        data = tmp_path / "ratings.csv"
+        data.write_text("user,item,rating\n"
+                        + "".join(",".join(l.split("::")[:3]) + "\n" for l in lines))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"header = {header}\nalgorithms = zipf\n")
+        out = tmp_path / "results.csv"
+        assert main(["benchmark", "--input", str(data), "--format", "csv",
+                     "--config", str(cfg), "--output", str(out)]) == code

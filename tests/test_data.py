@@ -118,6 +118,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=r":2:"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cols", [
+        {"user_col": -1}, {"item_col": -2}, {"rating_col": -1},
+    ])
+    def test_negative_column_rejected(self, tmp_path, cols):
+        path = tmp_path / "one.csv"
+        path.write_text("u1,i1,3\n")
+        with pytest.raises(ValueError, match="column indices must be >= 0"):
+            load_csv(path, **cols)
+
     def test_header_and_custom_columns(self, tmp_path):
         path = tmp_path / "ctx.csv"
         path.write_text("item;user;age;rating\ni1;u1;30;4\ni2;u1;30;2\ni1;u2;19;5\n")
