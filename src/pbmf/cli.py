@@ -5,7 +5,6 @@ Subcommands:
     train      fit one algorithm and write the model + loss-history CSV
     evaluate   score a saved model on a held-out split
     benchmark  train/evaluate every requested algorithm on one shared split
-    sweep      benchmark position_bias_mf across a list of beta values
 
 Flags can also be supplied through `--config FILE`, a plain `key = value`
 text file; explicit flags override file values.  All output CSVs are
@@ -23,7 +22,7 @@ from typing import TextIO
 from . import baselines, data, metrics, training
 from .model import load_model, save_model
 
-BENCHMARK_ALGORITHMS = ("classic_mf", "cosine_mf", "position_bias_mf", "random", "zipf")
+BENCHMARK_ALGORITHMS = training.ALGORITHMS + ("random", "zipf")
 
 
 def _positive_int(text: str) -> int:
@@ -123,8 +122,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=_positive_int, default=20)
     p.add_argument("--init-scale", type=_positive_float, default=0.1,
                    help="factors start uniform on (0, init-scale]")
-    p.add_argument("--no-shuffle", action="store_true",
-                   help="visit interactions in file order instead of reshuffling per epoch")
 
 
 def _add_metric_flags(p: argparse.ArgumentParser) -> None:
@@ -174,16 +171,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_benchmark)
     subs["benchmark"] = p
 
-    p = subparsers.add_parser("sweep", help="benchmark position_bias_mf over a beta list")
-    _add_data_flags(p)
-    _add_training_flags(p)
-    _add_metric_flags(p)
-    p.add_argument("--beta", type=_beta_list, default=[0.0, 0.1, 1.0],
-                   help="comma-separated beta values (at least two)")
-    p.add_argument("--output", default=None, help="sweep CSV (stdout when omitted)")
-    p.set_defaults(func=cmd_sweep)
-    subs["sweep"] = p
-
     return parser, subs
 
 
@@ -202,15 +189,20 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _config_tokens(sub: argparse.ArgumentParser, values: dict[str, str]) -> list[str]:
-    """Turn the config keys that `sub` takes into flag tokens for argparse to check."""
-    actions = {action.dest: action for action in sub._actions
+def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
+                   values: dict[str, str]) -> list[str]:
+    """Turn the config keys that `command` takes into flag tokens for argparse to
+    check.  Keys of other subcommands are ignored; a key none takes is an error."""
+    known = {action.dest for sub in subs.values() for action in sub._actions}
+    actions = {action.dest: action for action in subs[command]._actions
                if action.dest not in ("help", "config")}
     tokens: list[str] = []
     for key, raw in values.items():
         action = actions.get(key)
         if action is None:
-            continue  # keys for other subcommands are fine to ignore
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}")
+            continue
         flag = action.option_strings[0]
         if action.nargs != 0:
             tokens.append(f"{flag}={raw}")
@@ -248,7 +240,6 @@ def _train_config(args: argparse.Namespace, algorithm: str,
         epochs=args.epochs,
         seed=args.seed,
         init_scale=args.init_scale,
-        shuffle_each_epoch=not args.no_shuffle,
     )
 
 
@@ -310,17 +301,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_benchmark(args: argparse.Namespace, algorithms: list[str],
-                   betas: list[float]) -> int:
-    """Shared engine for `benchmark` and `sweep`: one split, one row per run."""
+def cmd_benchmark(args: argparse.Namespace) -> int:
+    """One split, one row per run: each algorithm once, position_bias_mf per beta."""
     train_set, test_set = _split_dataset(args)
     rows: list[list[str]] = []
     had_error = False
-    for algorithm in algorithms:
+    for algorithm in args.algorithms:
         # Baselines have no latent dimension and no epochs, failed or not.
         k_used, epochs_used = ((args.k, args.epochs) if algorithm in training.ALGORITHMS
                                else (0, 0))
-        for beta in betas if algorithm == "position_bias_mf" else [0.0]:
+        for beta in args.beta if algorithm == "position_bias_mf" else [0.0]:
             try:
                 scorer = _make_scorer(algorithm, beta, train_set, args)
                 report = metrics.evaluate_all(
@@ -346,16 +336,6 @@ def _run_benchmark(args: argparse.Namespace, algorithms: list[str],
     return 1 if had_error else 0
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    return _run_benchmark(args, list(args.algorithms), list(args.beta))
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if len(args.beta) < 2:
-        raise ValueError("sweep needs at least two beta values")
-    return _run_benchmark(args, ["position_bias_mf"], list(args.beta))
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = build_parser()
@@ -366,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         config_path = pre.parse_known_args(argv[1:])[0].config
         if config_path:
             try:
-                argv[1:1] = _config_tokens(sub, load_config_file(config_path))
+                argv[1:1] = _config_tokens(subs, argv[0], load_config_file(config_path))
             except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
                 sub.error(str(exc))
     args = parser.parse_args(argv)
@@ -375,7 +355,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -49,7 +49,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     init_scale: float = 0.1
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -143,8 +142,8 @@ def train(
 ) -> tuple[FactorModel, list[SampleLossBreakdown]]:
     """Run per-sample SGD and return the model plus per-epoch loss totals.
 
-    Every epoch visits each interaction once (in a seeded shuffled order
-    when enabled) and applies u <- u - lr * grad_u, v <- v - lr * grad_v,
+    Every epoch visits each interaction once, in a fresh seeded shuffled
+    order, and applies u <- u - lr * grad_u, v <- v - lr * grad_v,
     with both gradients evaluated at the pre-update values.  The run is
     bit-deterministic for a fixed (dataset, config).
     """
@@ -170,15 +169,10 @@ def train(
     m = dataset.m
     history: list[SampleLossBreakdown] = []
     for epoch in range(1, config.epochs + 1):
-        if config.shuffle_each_epoch:
-            order = shuffle_rng.permutation(len(dataset))
-            epoch_users = dataset.users[order]
-            epoch_items = dataset.items[order]
-            epoch_ratings = dataset.ratings[order]
-        else:
-            epoch_users = dataset.users
-            epoch_items = dataset.items
-            epoch_ratings = dataset.ratings
+        order = shuffle_rng.permutation(len(dataset))
+        epoch_users = dataset.users[order]
+        epoch_items = dataset.items[order]
+        epoch_ratings = dataset.ratings[order]
         # A runaway learning rate overflows factors to inf/nan; suppress the
         # per-op warnings and rely on the epoch-end divergence check instead.
         with np.errstate(over="ignore", invalid="ignore"):

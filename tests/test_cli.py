@@ -1,5 +1,7 @@
 import csv
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbmf.cli import main
+from pbmf.cli import build_parser, main
 from pbmf.data import SplitSpec, load_movielens, split
 from pbmf.metrics import REPORT_COLUMNS, evaluate_all, format_value
 from pbmf.model import init_model, load_model, save_model
@@ -269,41 +271,23 @@ class TestBenchmarkCommand:
             ])
         assert exc.value.code == 2
 
-
-class TestSweepCommand:
     def test_rows_follow_beta_order(self, ratings_file, tmp_path):
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "results.csv"
         code = main([
-            "sweep", "--input", str(ratings_file), "--beta", "0,0.1,1.0",
-            "--k", "4", "--epochs", "2", "--output", str(out),
+            "benchmark", "--input", str(ratings_file), "--algorithms", "position_bias_mf",
+            "--beta", "0,0.1,1.0", "--k", "4", "--epochs", "2", "--output", str(out),
         ])
         assert code == 0
         rows = read_csv_rows(out)
         assert [r["algorithm"] for r in rows] == ["position_bias_mf"] * 3
-        betas = [float(r["beta"]) for r in rows]
-        assert betas == [0.0, 0.1, 1.0]
-        assert betas == sorted(betas)
-
-    def test_byte_identical_reruns(self, ratings_file, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        args = ["sweep", "--input", str(ratings_file), "--beta", "0,0.5",
-                "--k", "4", "--epochs", "2"]
-        assert main(args + ["--output", str(a)]) == 0
-        assert main(args + ["--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_requires_two_betas(self, ratings_file, capsys):
-        code = main(["sweep", "--input", str(ratings_file), "--beta", "0.5"])
-        assert code == 1
-        assert "two beta values" in capsys.readouterr().err
+        assert [float(r["beta"]) for r in rows] == [0.0, 0.1, 1.0]
 
     def test_split_shared_across_betas(self, ratings_file, tmp_path):
         # test_size must be identical on every row: one split per invocation.
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "results.csv"
         assert main([
-            "sweep", "--input", str(ratings_file), "--beta", "0,0.2,0.8",
-            "--k", "4", "--epochs", "2", "--output", str(out),
+            "benchmark", "--input", str(ratings_file), "--algorithms", "position_bias_mf",
+            "--beta", "0,0.2,0.8", "--k", "4", "--epochs", "2", "--output", str(out),
         ]) == 0
         sizes = {r["test_size"] for r in read_csv_rows(out)}
         assert len(sizes) == 1
@@ -344,12 +328,11 @@ class TestConfigFile:
             main(["benchmark", "--input", str(ratings_file), "--config", str(cfg)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["benchmark", "sweep"])
-    def test_beta_list_from_config(self, command, ratings_file, tmp_path):
+    def test_beta_list_from_config(self, ratings_file, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("algorithms = position_bias_mf\nbeta = 0,0.1,1\nk = 4\nepochs = 2\n")
         out = tmp_path / "results.csv"
-        code = main([command, "--input", str(ratings_file), "--config", str(cfg),
+        code = main(["benchmark", "--input", str(ratings_file), "--config", str(cfg),
                      "--output", str(out)])
         assert code == 0
         rows = read_csv_rows(out)
@@ -377,7 +360,7 @@ class TestConfigFile:
         ("format = bogus", "argument --format"),
         ("matthew-variant = bogus", "argument --matthew-variant"),
         ("k = 0", "argument --k"),
-        ("no_shuffle = maybe", "expected a boolean, got 'maybe'"),
+        ("header = maybe", "expected a boolean, got 'maybe'"),
     ])
     def test_bad_config_value_is_usage_error(self, line, message, ratings_file, tmp_path,
                                              capsys, monkeypatch):
@@ -395,6 +378,30 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_key_is_usage_error(self, ratings_file, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a misspelt config key")
+
+        monkeypatch.setattr("pbmf.training.train", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algorithms = cosine_mf\nepoch = 5\n")
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--input", str(ratings_file), "--config", str(cfg),
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'epoch'" in err
+        assert not out.exists()
+
+    def test_other_subcommand_key_ignored(self, ratings_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algorithms = cosine_mf,zipf\nk = 4\nepochs = 2\n")
+        out = tmp_path / "model.pbmf"
+        assert main(["train", "--input", str(ratings_file), "--config", str(cfg),
+                     "--algorithm", "cosine_mf", "--output", str(out)]) == 0
+        assert load_model(out).k == 4
+
     @pytest.mark.parametrize("header, code", [("yes", 0), ("On", 0), ("false", 1)])
     def test_boolean_key(self, header, code, ratings_file, tmp_path):
         lines = ratings_file.read_text().splitlines()
@@ -406,3 +413,26 @@ class TestConfigFile:
         out = tmp_path / "results.csv"
         assert main(["benchmark", "--input", str(data), "--format", "csv",
                      "--config", str(cfg), "--output", str(out)]) == code
+
+
+def readme_commands():
+    """Every `pbmf ...` command in the README's bash blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["pbmf"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    parser, subs = build_parser()
+    commands = readme_commands()
+    assert {words[0] for words in commands} == set(subs)
+    for words in commands:
+        try:
+            parser.parse_args(words)  # parses only, runs nothing
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pbmf {shlex.join(words)}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pbmf.data import EmptyDatasetError
-from pbmf.model import NORM_EPSILON, FactorModel
+from pbmf.model import NORM_EPSILON, FactorModel, init_model
 from pbmf.training import (
     DivergenceError,
     TrainConfig,
@@ -189,6 +189,45 @@ def brute_force_loss(model, dataset, algorithm, beta):
     return fit, penalty, fit + beta * penalty
 
 
+def sequential_sgd_oracle(dataset, config):
+    """Per-sample SGD in plain Python floats, one epoch after another.
+
+    Each epoch visits the interactions in the order of a fresh permutation
+    drawn from default_rng([seed, 1]); both gradients of a step are taken
+    at the factors before that step.
+    """
+    mode = "dot" if config.algorithm == "classic_mf" else "cosine"
+    start = init_model(dataset.n, dataset.m, config.k, seed=config.seed,
+                       scale=config.init_scale, mode=mode, r_max=dataset.r_max)
+    U = start.U.tolist()
+    V = start.V.tolist()
+    beta = config.beta if config.algorithm == "position_bias_mf" else 0.0
+    lr = config.learning_rate
+    rng = np.random.default_rng([config.seed, 1])
+    for _ in range(config.epochs):
+        for s in rng.permutation(len(dataset)):
+            u = U[int(dataset.users[s])]
+            v = V[int(dataset.items[s])]
+            r = float(dataset.ratings[s])
+            dot = sum(a * b for a, b in zip(u, v))
+            if mode == "dot":
+                # d/du (r - u.v)^2 = -2 (r - u.v) v
+                gu = [-2.0 * (r - dot) * b for b in v]
+                gv = [-2.0 * (r - dot) * a for a in u]
+            else:
+                # c = u.v / (|u| |v|);  dc/du = v / (|u| |v|) - c u / |u|^2
+                nu2 = sum(a * a for a in u)
+                nv2 = sum(b * b for b in v)
+                norms = math.sqrt(nu2) * math.sqrt(nv2)
+                c = dot / norms
+                dloss_dc = -2.0 * (r / dataset.r_max - c) + 2.0 * beta * (c - 1.0 / dataset.m)
+                gu = [dloss_dc * (b / norms - c * a / nu2) for a, b in zip(u, v)]
+                gv = [dloss_dc * (a / norms - c * b / nv2) for a, b in zip(u, v)]
+            u[:] = [a - lr * g for a, g in zip(u, gu)]
+            v[:] = [b - lr * g for b, g in zip(v, gv)]
+    return np.array(U), np.array(V)
+
+
 class TestTrain:
     def test_beta_zero_equals_cosine(self):
         ds = small_dataset()
@@ -236,13 +275,16 @@ class TestTrain:
         assert np.array_equal(m1.V, m2.V)
         assert h1 == h2
 
-    def test_no_shuffle_visits_in_file_order(self):
-        ds = small_dataset()
-        config = TrainConfig(algorithm="cosine_mf", k=4, epochs=3, seed=9,
-                             shuffle_each_epoch=False)
-        m1, _ = train(ds, config)
-        m2, _ = train(ds, config)
-        assert np.array_equal(m1.U, m2.U)
+    @pytest.mark.parametrize("algorithm", ["classic_mf", "cosine_mf", "position_bias_mf"])
+    def test_matches_sequential_oracle(self, algorithm):
+        ds = zipf_popularity_dataset(40, 30, 10, seed=4, rating_scale=5.0,
+                                     integer_ratings=True)
+        config = TrainConfig(algorithm=algorithm, beta=0.5, k=4, learning_rate=0.05,
+                             epochs=2, seed=7)
+        model, _ = train(ds, config)
+        U, V = sequential_sgd_oracle(ds, config)
+        assert np.abs(model.U - U).max() <= 1e-12
+        assert np.abs(model.V - V).max() <= 1e-12
 
     def test_divergence_raises_with_epoch(self):
         ds = zipf_popularity_dataset(30, 20, 10, seed=0, rating_scale=5.0, integer_ratings=True)
