@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
-from typing import TextIO
+from typing import Any, Callable, TextIO
 
 from . import baselines, data, metrics, training
 from .model import load_model, save_model
@@ -25,39 +26,26 @@ from .model import load_model, save_model
 BENCHMARK_ALGORITHMS = training.ALGORITHMS + ("random", "zipf")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _number(cast: type, ok: Callable[[Any], bool], expected: str) -> Callable[[str], Any]:
+    """An argparse type: `cast` the text and keep the value if `ok(value)` holds
+    and, for a float, the value is finite (so NaN and ±inf are usage errors)."""
+    def parse(text: str) -> Any:
+        try:
+            value = cast(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value) and (cast is int or math.isfinite(value)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_nonneg_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number(float, lambda v: v > 0, "a positive number")
+_nonneg_float = _number(float, lambda v: v >= 0, "a number >= 0")
+_fraction = _number(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 
 
 def _beta_list(text: str) -> list[float]:
@@ -326,7 +314,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     metrics.report_row(report, k=k_used, epochs=epochs_used, seed=args.seed)
                     + [""]
                 )
-            except (ValueError, RuntimeError) as exc:
+            except (ValueError, RuntimeError, MemoryError) as exc:
                 had_error = True
                 rows.append(
                     [algorithm, metrics.format_value(beta), str(k_used), str(epochs_used),
@@ -352,6 +340,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

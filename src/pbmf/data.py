@@ -26,7 +26,7 @@ class RatingsParseError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A data row is missing one of the requested columns."""
+    """A data row cannot be parsed or is missing one of the requested columns."""
 
 
 class EmptyDatasetError(ValueError):
@@ -184,7 +184,7 @@ def load_csv(
 
     Raises :class:`ValueError` for a negative column index and
     :class:`SchemaError` if a data row is shorter than the requested
-    columns.  Duplicate (user, item) pairs keep the last occurrence.
+    columns or the csv module cannot parse it.  Duplicate (user, item) pairs keep the last occurrence.
     """
     if min(user_col, item_col, rating_col) < 0:
         raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
@@ -193,22 +193,25 @@ def load_csv(
     triples: list[tuple[str, str, float]] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for rowno, row in enumerate(reader, start=1):
-            if has_header and rowno == 1:
-                continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < needed:
-                raise SchemaError(
-                    f"{path}:{rowno}: expected at least {needed} columns, found {len(row)}"
+        try:
+            for rowno, row in enumerate(reader, start=1):
+                if has_header and rowno == 1:
+                    continue
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < needed:
+                    raise SchemaError(
+                        f"{path}:{rowno}: expected at least {needed} columns, found {len(row)}"
+                    )
+                triples.append(
+                    (
+                        row[user_col].strip(),
+                        row[item_col].strip(),
+                        _checked_rating(row[rating_col].strip(), str(path), rowno),
+                    )
                 )
-            triples.append(
-                (
-                    row[user_col].strip(),
-                    row[item_col].strip(),
-                    _checked_rating(row[rating_col].strip(), str(path), rowno),
-                )
-            )
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     return _build_dataset(triples, str(path))
 
 

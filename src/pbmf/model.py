@@ -128,8 +128,8 @@ def init_model(
     """
     if n < 1 or m < 1 or k < 1:
         raise ValueError(f"n, m, k must all be >= 1, got ({n}, {m}, {k})")
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)
     # rng.random() is uniform on [0, 1); 1 - x maps it onto (0, 1].
     U = scale * (1.0 - rng.random((n, k)))

@@ -55,14 +55,15 @@ class TrainConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        # NaN fails every comparison, so these bounds also reject it; ±inf falls outside.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 

@@ -77,6 +77,40 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert ">= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--lr", "inf"), ("--lr", "nan"), ("--init-scale", "inf"),
+    ])
+    def test_non_finite_setting_rejected(self, flag, value, ratings_file, tmp_path, capsys,
+                                         monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("read the data before the flags were checked")
+
+        monkeypatch.setattr("pbmf.data.load_movielens", no_loading)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--input", str(ratings_file), "--algorithm", "position_bias_mf",
+                flag, value, "--output", str(tmp_path / "m.pbmf"),
+            ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count(f"argument {flag}: expected") == 1
+
+    @pytest.mark.parametrize("digits", [50, 400])
+    def test_long_seed_trains(self, digits, ratings_file, tmp_path):
+        # An int past ~1e308 cannot become a float, so no check may convert one.
+        assert main([
+            "train", "--input", str(ratings_file), "--algorithm", "cosine_mf",
+            "--k", "2", "--epochs", "1", "--seed", "7" * digits,
+            "--output", str(tmp_path / "m.pbmf"),
+        ]) == 0
+
+    def test_unallocatable_k_fails_cleanly(self, ratings_file, tmp_path):
+        # 2**45 factors per row: petabytes, which numpy refuses up front.
+        result = run_pbmf(["train", "--input", str(ratings_file), "--algorithm", "cosine_mf",
+                           "--k", "35184372088832", "--output", str(tmp_path / "m.pbmf")])
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert not (tmp_path / "m.pbmf").exists()
+
     def test_divergence_reported(self, ratings_file, tmp_path, capsys):
         code = main([
             "train", "--input", str(ratings_file), "--algorithm", "classic_mf",
@@ -239,6 +273,17 @@ class TestBenchmarkCommand:
         assert len(rows) == 2  # the run continued
         assert "diverged" in rows[0]["error"]
         assert rows[0]["mae"] == ""
+        assert rows[1]["algorithm"] == "zipf" and rows[1]["error"] == ""
+
+    def test_unallocatable_k_recorded(self, ratings_file, tmp_path):
+        out = tmp_path / "results.csv"
+        code = main([
+            "benchmark", "--input", str(ratings_file), "--algorithms", "cosine_mf,zipf",
+            "--k", "35184372088832", "--output", str(out),
+        ])
+        assert code == 1
+        rows = read_csv_rows(out)
+        assert "allocate" in rows[0]["error"] and rows[0]["mae"] == ""
         assert rows[1]["algorithm"] == "zipf" and rows[1]["error"] == ""
 
     def test_random_seed_beyond_64_bits_recorded(self, ratings_file, tmp_path):
@@ -413,6 +458,18 @@ class TestConfigFile:
         out = tmp_path / "results.csv"
         assert main(["benchmark", "--input", str(data), "--format", "csv",
                      "--config", str(cfg), "--output", str(out)]) == code
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_oversized_csv_field_fails_cleanly(command, tmp_path):
+    data = tmp_path / "big.csv"
+    data.write_text("u1,i1,3\nu2," + "x" * 200_000 + ",4\n")
+    extra = (["--algorithm", "cosine_mf", "--output", str(tmp_path / "m.pbmf")]
+             if command == "train" else [])
+    result = run_pbmf([command, "--input", str(data), "--format", "csv", *extra])
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {data}:2: field larger than field limit")
+    assert result.stderr.count("\n") == 1
 
 
 def readme_commands():

@@ -118,6 +118,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=r":2:"):
             load_csv(path)
 
+    def test_oversized_field_is_schema_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("u1,i1,3\nu2," + "x" * 200_000 + ",4\n")
+        with pytest.raises(SchemaError, match=r"big\.csv:2: field larger than field limit"):
+            load_csv(path)
+
     @pytest.mark.parametrize("cols", [
         {"user_col": -1}, {"item_col": -2}, {"rating_col": -1},
     ])

@@ -46,8 +46,9 @@ class TestInitModel:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             init_model(0, 1, 1, seed=0)
-        with pytest.raises(ValueError):
-            init_model(1, 1, 1, seed=0, scale=0.0)
+        for scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                init_model(1, 1, 1, seed=0, scale=scale)
 
 
 def _model_from_rows(u_row, v_row, mode="cosine", r_max=5.0):

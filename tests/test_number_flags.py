@@ -1,0 +1,68 @@
+"""Property test for the numeric flags: each one either parses to a finite
+value inside its bound or is a usage error (exit 2); nothing else escapes
+`parse_args`, whatever text it is given."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from pbmf import cli  # noqa: E402
+
+
+def _finite_float(v):
+    return type(v) is float and math.isfinite(v)
+
+
+# What each number parser promises, written out apart from cli.py.
+BOUNDS = {
+    cli._positive_int: lambda v: type(v) is int and v >= 1,
+    cli._nonneg_int: lambda v: type(v) is int and v >= 0,
+    cli._positive_float: lambda v: _finite_float(v) and v > 0,
+    cli._nonneg_float: lambda v: _finite_float(v) and v >= 0,
+    cli._fraction: lambda v: _finite_float(v) and 0 < v < 1,
+    cli._beta_list: lambda v: bool(v) and all(_finite_float(b) and b >= 0 for b in v),
+}
+NON_NUMERIC_TYPES = {None, cli._delimiter, cli._algorithm_list}
+# The smallest valid argv of each subcommand.
+REQUIRED = {
+    "train": ["--input", "r.dat", "--algorithm", "cosine_mf", "--output", "m.pbmf"],
+    "evaluate": ["--input", "r.dat", "--model", "m.pbmf"],
+    "benchmark": ["--input", "r.dat"],
+}
+
+PARSER, SUBS = cli.build_parser()
+FLAGS = [(command, action.option_strings[0], action.dest, action.type)
+         for command, sub in SUBS.items() for action in sub._actions
+         if action.type in BOUNDS]
+
+TEXTS = st.one_of(st.floats().map(repr), st.integers().map(str), st.text())
+
+
+def test_every_flag_type_is_classified():
+    assert set(SUBS) == set(REQUIRED)
+    for sub in SUBS.values():
+        for action in sub._actions:
+            assert action.type in BOUNDS or action.type in NON_NUMERIC_TYPES, action.dest
+    assert len(FLAGS) == 27
+
+
+@pytest.mark.parametrize("command, flag, dest, parse", FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _, _ in FLAGS])
+@settings(max_examples=25, deadline=None)
+@given(text=TEXTS)
+# Always tried, whatever is drawn: the non-finite floats and an int too large
+# to become a float.
+@example(text="nan")
+@example(text="inf")
+@example(text="-inf")
+@example(text="9" * 400)
+def test_numeric_flag_is_bounded_or_usage_error(command, flag, dest, parse, text):
+    try:
+        args = PARSER.parse_args([command, *REQUIRED[command], f"{flag}={text}"])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert BOUNDS[parse](getattr(args, dest)), text

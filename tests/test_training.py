@@ -316,6 +316,12 @@ class TestTrainConfig:
         {"init_scale": 0.0},
         {"algorithm": "bogus"},
         {"seed": -1},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"beta": math.nan},
+        {"beta": math.inf},
+        {"init_scale": math.nan},
+        {"init_scale": math.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
