@@ -165,15 +165,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a `key = value` file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                key, _, value = line.partition("=")
+                values[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 

@@ -150,23 +150,27 @@ def load_movielens(path: str | Path) -> RatingsDataset:
     Blank lines are skipped; lines that do not split into four `::` fields
     are counted as malformed and reported via logging.  A line with the right
     shape but a non-numeric (or non-positive) rating raises
-    :class:`RatingsParseError` naming the line number.
+    :class:`RatingsParseError` naming the line number; text that is not
+    UTF-8 raises it naming the file alone.
     """
     path = Path(path)
     triples: list[tuple[str, str, float]] = []
     malformed = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("::")
-            if len(fields) != 4:
-                malformed += 1
-                continue
-            triples.append(
-                (fields[0], fields[1], _checked_rating(fields[2], str(path), lineno))
-            )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                fields = line.split("::")
+                if len(fields) != 4:
+                    malformed += 1
+                    continue
+                triples.append(
+                    (fields[0], fields[1], _checked_rating(fields[2], str(path), lineno))
+                )
+    except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
+        raise RatingsParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if malformed:
         logger.warning("%s: skipped %d malformed line(s)", path, malformed)
     return _build_dataset(triples, str(path))
@@ -184,7 +188,8 @@ def load_csv(
 
     Raises :class:`ValueError` for a negative column index and
     :class:`SchemaError` if a data row is shorter than the requested
-    columns or the csv module cannot parse it.  Duplicate (user, item) pairs keep the last occurrence.
+    columns, the csv module cannot parse it or the file is not UTF-8.
+    Duplicate (user, item) pairs keep the last occurrence.
     """
     if min(user_col, item_col, rating_col) < 0:
         raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
@@ -212,6 +217,8 @@ def load_csv(
                 )
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return _build_dataset(triples, str(path))
 
 

@@ -1,7 +1,7 @@
-"""Per-sample SGD for three matrix-factorization losses.
+"""SGD for three matrix-factorization losses.
 
-Three algorithms share one training loop and differ only in the per-sample
-gradient:
+Three algorithms share one training loop and one batched gradient kernel,
+``gradients``, and differ only in the loss it differentiates:
 
 * ``classic_mf`` — plain least squares on the dot product,
   (r - U_i . V_j)^2.
@@ -12,10 +12,12 @@ gradient:
   1/m over the m items, trading a little accuracy for a flatter score
   distribution.
 
-Gradients are analytic and validated against central finite differences in
-the test suite.  With beta = 0 the penalty path is the cosine path, down to
-the bit: ``position_bias_mf`` at beta = 0 and ``cosine_mf`` run the exact
-same arithmetic.
+Each epoch applies one SGD step per interaction in a shuffled order, run
+as conflict-free waves of batched updates: steps that share neither a user
+nor an item commute.  Gradients are analytic and validated against central
+finite differences in the test suite.  With beta = 0 the penalty path is
+the cosine path, down to the bit: ``position_bias_mf`` at beta = 0 and
+``cosine_mf`` run the exact same arithmetic.
 """
 
 from __future__ import annotations
@@ -77,18 +79,14 @@ class SampleLossBreakdown:
     total: float
 
 
-def sample_gradients(
-    u: np.ndarray,
-    v: np.ndarray,
-    rating: float,
-    r_max: float,
-    m: int,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of the per-sample loss
-    L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with respect to u and v.
+def gradients(u: np.ndarray, v: np.ndarray, ratings: np.ndarray, mode: str, r_max: float,
+              m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients of each sample's loss in its rows of `u` and `v`.
 
-    With c = cos(u, v) and g = dL/dc = -2 (r/r_max - c) + 2 beta (c - 1/m):
+    Row t of the (b, k) arrays `u` and `v` and entry t of `ratings` are one
+    sample.  "dot" mode differentiates (r - u . v)^2.  "cosine" mode
+    differentiates L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with
+    c = cos(u, v); with g = dL/dc = -2 (r/r_max - c) + 2 beta (c - 1/m):
 
         grad_u = g * (v / (|u| |v|) - c * u / |u|^2)
         grad_v = g * (u / (|u| |v|) - c * v / |v|^2)
@@ -97,25 +95,18 @@ def sample_gradients(
     the cosine is invariant to the length of either vector.  Every
     denominator is floored at NORM_EPSILON, as in the model's scoring.
     """
-    nu2 = float(u @ u)
-    nv2 = float(v @ v)
-    nu = math.sqrt(nu2)
-    nv = math.sqrt(nv2)
-    denom = max(nu * nv, NORM_EPSILON)
-    c = float(u @ v) / denom
-    g = -2.0 * (rating / r_max - c) + 2.0 * beta * (c - 1.0 / m)
-    grad_u = g * (v / denom - (c / max(nu2, NORM_EPSILON)) * u)
-    grad_v = g * (u / denom - (c / max(nv2, NORM_EPSILON)) * v)
-    return grad_u, grad_v
-
-
-def classic_sample_gradients(
-    u: np.ndarray, v: np.ndarray, rating: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the plain squared residual (r - u . v)^2."""
-    residual = rating - float(u @ v)
-    grad_u = -2.0 * residual * v
-    grad_v = -2.0 * residual * u
+    dots = np.einsum("ij,ij->i", u, v)[:, None]
+    ratings = ratings[:, None]
+    if mode == "dot":
+        g = -2.0 * (ratings - dots)
+        return g * v, g * u
+    nu2 = np.einsum("ij,ij->i", u, u)[:, None]
+    nv2 = np.einsum("ij,ij->i", v, v)[:, None]
+    denom = np.maximum(np.sqrt(nu2) * np.sqrt(nv2), NORM_EPSILON)
+    c = dots / denom
+    g = -2.0 * (ratings / r_max - c) + 2.0 * beta * (c - 1.0 / m)
+    grad_u = g * (v / denom - c / np.maximum(nu2, NORM_EPSILON) * u)
+    grad_v = g * (u / denom - c / np.maximum(nv2, NORM_EPSILON) * v)
     return grad_u, grad_v
 
 
@@ -141,7 +132,7 @@ def full_loss(
 def train(
     dataset: RatingsDataset, config: TrainConfig
 ) -> tuple[FactorModel, list[SampleLossBreakdown]]:
-    """Run per-sample SGD and return the model plus per-epoch loss totals.
+    """Run SGD and return the model plus per-epoch loss totals.
 
     Every epoch visits each interaction once, in a fresh seeded shuffled
     order, and applies u <- u - lr * grad_u, v <- v - lr * grad_v,
@@ -150,42 +141,40 @@ def train(
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
-    classic = config.algorithm == "classic_mf"
+    mode = "dot" if config.algorithm == "classic_mf" else "cosine"
     beta = config.beta if config.algorithm == "position_bias_mf" else 0.0
-    model = init_model(
-        dataset.n,
-        dataset.m,
-        config.k,
-        seed=config.seed,
-        scale=config.init_scale,
-        mode="dot" if classic else "cosine",
-        r_max=dataset.r_max,
-    )
+    model = init_model(dataset.n, dataset.m, config.k, seed=config.seed,
+                       scale=config.init_scale, mode=mode, r_max=dataset.r_max)
     # The shuffle stream is separate from the init stream so visit order
     # never depends on how many factors were drawn.
     shuffle_rng = np.random.default_rng([config.seed, 1])
     U, V = model.U, model.V
     lr = config.learning_rate
-    r_max = dataset.r_max
-    m = dataset.m
     history: list[SampleLossBreakdown] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(dataset))
-        epoch_users = dataset.users[order]
-        epoch_items = dataset.items[order]
-        epoch_ratings = dataset.ratings[order]
+        # A step's wave is 1 + the latest wave of its user or its item, so no
+        # two steps of a wave share a factor row (the fancy-index updates below
+        # are exact) and each comes after every earlier step on its rows:
+        # running the waves in turn is the shuffled order up to float rounding.
+        last_user, last_item, waves = [0] * dataset.n, [0] * dataset.m, []
+        for i, j in zip(dataset.users[order].tolist(), dataset.items[order].tolist()):
+            wave = max(last_user[i], last_item[j]) + 1
+            last_user[i] = last_item[j] = wave
+            waves.append(wave)
+        waves = np.array(waves)
+        order = order[np.argsort(waves, kind="stable")]
+        bounds = np.bincount(waves).cumsum().tolist()  # wave w is order[bounds[w-1]:bounds[w]]
+        users, items, ratings = dataset.users[order], dataset.items[order], dataset.ratings[order]
         # A runaway learning rate overflows factors to inf/nan; suppress the
         # per-op warnings and rely on the epoch-end divergence check instead.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, j, r in zip(epoch_users, epoch_items, epoch_ratings):
-                u = U[i]
-                v = V[j]
-                if classic:
-                    grad_u, grad_v = classic_sample_gradients(u, v, r)
-                else:
-                    grad_u, grad_v = sample_gradients(u, v, r, r_max, m, beta)
-                u -= lr * grad_u
-                v -= lr * grad_v
+            for lo, hi in zip(bounds, bounds[1:]):
+                i, j = users[lo:hi], items[lo:hi]
+                grad_u, grad_v = gradients(U[i], V[j], ratings[lo:hi], mode,
+                                           dataset.r_max, dataset.m, beta)
+                U[i] -= lr * grad_u
+                V[j] -= lr * grad_v
             losses = full_loss(model, dataset, beta)
         if not math.isfinite(losses.total):
             raise DivergenceError(

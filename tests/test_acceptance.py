@@ -26,8 +26,7 @@ from pbmf.model import NORM_EPSILON, TopKLists
 from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
 from pbmf.training import (
     TrainConfig,
-    classic_sample_gradients,
-    sample_gradients,
+    gradients,
     train,
 )
 from pbmf.metrics import mae as mae_metric
@@ -74,13 +73,13 @@ def test_criterion_1_gradient_correctness():
             v = rng.uniform(0.05, 1.0, k)
             rating = rng.uniform(1.0, 5.0)
 
-            gu, gv = sample_gradients(u, v, rating, r_max, m, beta)
+            (gu,), (gv,) = gradients(u[None], v[None], np.array([rating]), "cosine", r_max, m, beta)
             fu, fv = central_differences(
                 lambda a, b: plain_loss(a, b, rating, r_max, m, beta), u, v
             )
             worst_pb = max(worst_pb, max_relative_error(gu, fu), max_relative_error(gv, fv))
 
-            gu, gv = classic_sample_gradients(u, v, rating)
+            (gu,), (gv,) = gradients(u[None], v[None], np.array([rating]), "dot", r_max, m, beta)
             fu, fv = central_differences(
                 lambda a, b: (rating - float(a @ b)) ** 2, u, v
             )

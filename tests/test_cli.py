@@ -472,6 +472,28 @@ def test_oversized_csv_field_fails_cleanly(command, tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("reader,content,flags,code", [
+    ("movielens", b"1::1::5::0\n2::\xe9::4::0\n", [], 1),
+    ("csv", b"1,1,5\n2,\xe9,4\n", ["--format", "csv"], 1),
+    ("config", b"k = 4\nlr = \xe9\n", ["--config={}"], 2),
+], ids=["movielens", "csv", "config"])
+def test_non_utf8_file_fails_cleanly(reader, content, flags, code, ratings_file, tmp_path):
+    # Byte 0xe9 (Latin-1 'e acute') is not valid UTF-8 here; the error names the file.
+    bad = tmp_path / f"latin1.{reader}"
+    bad.write_bytes(content)
+    data = ratings_file if reader == "config" else bad
+    result = run_pbmf(["train", "--input", str(data), "--algorithm", "cosine_mf",
+                       "--output", str(tmp_path / "m.pbmf"),
+                       *(flag.format(bad) for flag in flags)])
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].endswith(
+        f"error: {bad}: not UTF-8 text (invalid continuation byte)")
+    if code == 1:
+        assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "m.pbmf").exists()
+
+
 def readme_commands():
     """Every `pbmf ...` command in the README's bash blocks, continuations joined."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -9,9 +9,8 @@ from pbmf.model import NORM_EPSILON, FactorModel, init_model
 from pbmf.training import (
     DivergenceError,
     TrainConfig,
-    classic_sample_gradients,
     full_loss,
-    sample_gradients,
+    gradients,
     save_loss_history,
     train,
 )
@@ -50,6 +49,12 @@ def plain_loss(u, v, rating, r_max, m, beta):
     """Per-sample loss oracle: (r/r_max - c)^2 + beta * (c - 1/m)^2."""
     c = plain_cosine(u, v)
     return (rating / r_max - c) ** 2 + beta * (c - 1.0 / m) ** 2
+
+
+def one_gradient(u, v, rating, mode, r_max=5.0, m=1, beta=0.0):
+    """`gradients` on a batch of one sample, returned as two vectors."""
+    gu, gv = gradients(u[None], v[None], np.array([rating]), mode, r_max, m, beta)
+    return gu[0], gv[0]
 
 
 def one_sample_loss(u, v, rating, r_max, m, beta):
@@ -107,7 +112,7 @@ class TestSampleGradients:
     def test_zero_at_stationary_sample(self):
         # Parallel vectors give c = 1; rating = r_max gives a perfect fit.
         u = np.array([0.3, 0.4])
-        gu, gv = sample_gradients(u, 2.0 * u, rating=5.0, r_max=5.0, m=10, beta=0.0)
+        gu, gv = one_gradient(u, 2.0 * u, 5.0, "cosine", r_max=5.0, m=10, beta=0.0)
         np.testing.assert_allclose(gu, 0.0, atol=1e-12)
         np.testing.assert_allclose(gv, 0.0, atol=1e-12)
 
@@ -116,7 +121,7 @@ class TestSampleGradients:
         for _ in range(100):
             u = rng.uniform(0.1, 1, 6)
             v = rng.uniform(0.1, 1, 6)
-            gu, gv = sample_gradients(u, v, rating=2.0, r_max=5.0, m=30, beta=0.7)
+            gu, gv = one_gradient(u, v, 2.0, "cosine", r_max=5.0, m=30, beta=0.7)
             assert abs(float(gu @ u)) < 1e-10
             assert abs(float(gv @ v)) < 1e-10
 
@@ -128,7 +133,7 @@ class TestSampleGradients:
             v = rng.uniform(0.05, 1.0, 8)
             rating = rng.uniform(1.0, 5.0)
             loss_fn = lambda a, b: plain_loss(a, b, rating, 5.0, 100, beta)
-            gu, gv = sample_gradients(u, v, rating, 5.0, 100, beta)
+            gu, gv = one_gradient(u, v, rating, "cosine", 5.0, 100, beta)
             fu, fv = fd_gradients(loss_fn, u, v)
             assert relative_error(gu, fu) < 1e-5
             assert relative_error(gv, fv) < 1e-5
@@ -138,12 +143,12 @@ class TestClassicGradients:
     def test_zero_at_fit(self):
         u = np.array([1.0, 1.0])
         v = np.array([2.0, 1.0])
-        gu, gv = classic_sample_gradients(u, v, rating=3.0)
+        gu, gv = one_gradient(u, v, 3.0, "dot")
         np.testing.assert_allclose(gu, 0.0, atol=1e-15)
         np.testing.assert_allclose(gv, 0.0, atol=1e-15)
 
     def test_hand_case(self):
-        gu, gv = classic_sample_gradients(np.array([1.0, 0.0]), np.array([0.0, 1.0]), rating=1.0)
+        gu, gv = one_gradient(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, "dot")
         np.testing.assert_allclose(gu, [0.0, -2.0])
         np.testing.assert_allclose(gv, [-2.0, 0.0])
 
@@ -154,7 +159,7 @@ class TestClassicGradients:
             v = rng.uniform(-1, 1, 8)
             rating = rng.uniform(1.0, 5.0)
             loss_fn = lambda a, b: (rating - float(a @ b)) ** 2
-            gu, gv = classic_sample_gradients(u, v, rating)
+            gu, gv = one_gradient(u, v, rating, "dot")
             fu, fv = fd_gradients(loss_fn, u, v)
             assert relative_error(gu, fu) < 1e-6
             assert relative_error(gv, fv) < 1e-6
