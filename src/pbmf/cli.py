@@ -14,11 +14,12 @@ byte-deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 
 from . import baselines, data, metrics, training
 from .model import load_model, save_model
@@ -125,7 +126,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Matrix-factorization recommender toolkit with a position-bias penalty.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
 
     p = subparsers.add_parser("train", help="train one algorithm and save the model")
     _add_data_flags(p)
@@ -135,7 +135,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="weight of the uniform-click penalty (position_bias_mf)")
     p.add_argument("--output", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
-    subs["train"] = p
 
     p = subparsers.add_parser("evaluate", help="evaluate a saved model on a held-out split")
     _add_data_flags(p)
@@ -144,7 +143,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--label", default="model", help="algorithm name for the report row")
     p.add_argument("--output", default=None, help="report CSV (stdout when omitted)")
     p.set_defaults(func=cmd_evaluate)
-    subs["evaluate"] = p
 
     p = subparsers.add_parser("benchmark", help="compare algorithms on one shared split")
     _add_data_flags(p)
@@ -157,16 +155,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="comma-separated beta values for position_bias_mf")
     p.add_argument("--output", default=None, help="results CSV (stdout when omitted)")
     p.set_defaults(func=cmd_benchmark)
-    subs["benchmark"] = p
-
-    return parser, subs
+    return parser, dict(subparsers.choices)
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a `key = value` file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -202,22 +198,19 @@ def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
     return tokens
 
 
-def _load_dataset(args: argparse.Namespace) -> data.RatingsDataset:
-    if args.format == "movielens":
-        return data.load_movielens(args.input)
-    return data.load_csv(
-        args.input,
-        user_col=args.user_col,
-        item_col=args.item_col,
-        rating_col=args.rating_col,
-        delimiter=args.delimiter,
-        has_header=args.header,
-    )
-
-
 def _split_dataset(args: argparse.Namespace):
-    spec = data.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
-    return data.split(_load_dataset(args), spec)
+    if args.format == "movielens":
+        dataset = data.load_movielens(args.input)
+    else:
+        dataset = data.load_csv(
+            args.input,
+            user_col=args.user_col,
+            item_col=args.item_col,
+            rating_col=args.rating_col,
+            delimiter=args.delimiter,
+            has_header=args.header,
+        )
+    return data.split(dataset, data.SplitSpec(test_fraction=args.test_fraction, seed=args.seed))
 
 
 def _train_config(args: argparse.Namespace, algorithm: str,
@@ -241,23 +234,31 @@ def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
         return training.train(train_set, _train_config(args, algorithm, beta))[0]
     if algorithm == "random":
         return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max)
-    if algorithm == "zipf":
-        return baselines.ZipfScorer.from_dataset(train_set)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return baselines.ZipfScorer.from_dataset(train_set)
 
 
-def _dump_csv(fh: TextIO, header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _report_row(args: argparse.Namespace, scorer: object, train_set: data.RatingsDataset,
+                test_set: data.RatingsDataset, algorithm: str, beta: float, k: int,
+                epochs: int) -> list[str]:
+    report = metrics.evaluate_all(
+        scorer,
+        train_set,
+        test_set,
+        k_top=args.k_top,
+        matthew_variant=args.matthew_variant,
+        algorithm=algorithm,
+        beta=beta,
+    )
+    return metrics.report_row(report, k=k, epochs=epochs, seed=args.seed)
 
 
 def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            _dump_csv(fh, header, rows)
-    else:
-        _dump_csv(sys.stdout, header, rows)
+    """Write the table to `output`, or to stdout (left open) when there is none."""
+    with (open(output, "w", encoding="utf-8", newline="") if output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -279,15 +280,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"model {args.model} has {model.n} users x {model.m} items, "
             f"but {args.input} has {train_set.n} users x {train_set.m} items"
         )
-    report = metrics.evaluate_all(
-        model,
-        train_set,
-        test_set,
-        k_top=args.k_top,
-        matthew_variant=args.matthew_variant,
-        algorithm=args.label,
-    )
-    row = metrics.report_row(report, k=model.k, epochs=0, seed=args.seed)
+    row = _report_row(args, model, train_set, test_set, args.label, 0.0, model.k, 0)
     _write_csv(args.output, metrics.REPORT_COLUMNS, [row])
     return 0
 
@@ -304,19 +297,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         for beta in args.beta if algorithm == "position_bias_mf" else [0.0]:
             try:
                 scorer = _make_scorer(algorithm, beta, train_set, args)
-                report = metrics.evaluate_all(
-                    scorer,
-                    train_set,
-                    test_set,
-                    k_top=args.k_top,
-                    matthew_variant=args.matthew_variant,
-                    algorithm=algorithm,
-                    beta=beta,
-                )
-                rows.append(
-                    metrics.report_row(report, k=k_used, epochs=epochs_used, seed=args.seed)
-                    + [""]
-                )
+                rows.append(_report_row(args, scorer, train_set, test_set, algorithm, beta,
+                                        k_used, epochs_used) + [""])
             except (ValueError, RuntimeError, MemoryError) as exc:
                 had_error = True
                 rows.append(

@@ -93,6 +93,8 @@ class SplitSpec:
 
 def _checked_rating(text: str, source: str, lineno: int) -> float:
     try:
+        if "_" in text:  # float() reads PEP 515 digit separators: "4_5" would be 45.0
+            raise ValueError(text)
         rating = float(text)
     except ValueError:
         raise RatingsParseError(
@@ -157,7 +159,7 @@ def load_movielens(path: str | Path) -> RatingsDataset:
     triples: list[tuple[str, str, float]] = []
     malformed = 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
@@ -196,7 +198,7 @@ def load_csv(
     path = Path(path)
     needed = max(user_col, item_col, rating_col) + 1
     triples: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             for rowno, row in enumerate(reader, start=1):

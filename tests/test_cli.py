@@ -447,6 +447,14 @@ class TestConfigFile:
                      "--algorithm", "cosine_mf", "--output", str(out)]) == 0
         assert load_model(out).k == 4
 
+    def test_byte_order_mark_skipped(self, ratings_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfk = 4\nepochs = 1\n")
+        out = tmp_path / "model.pbmf"
+        assert main(["train", "--input", str(ratings_file), "--config", str(cfg),
+                     "--algorithm", "cosine_mf", "--output", str(out)]) == 0
+        assert load_model(out).k == 4
+
     @pytest.mark.parametrize("header, code", [("yes", 0), ("On", 0), ("false", 1)])
     def test_boolean_key(self, header, code, ratings_file, tmp_path):
         lines = ratings_file.read_text().splitlines()
@@ -492,6 +500,25 @@ def test_non_utf8_file_fails_cleanly(reader, content, flags, code, ratings_file,
     if code == 1:
         assert result.stderr.count("\n") == 1
     assert not (tmp_path / "m.pbmf").exists()
+
+
+def test_stdout_matches_output_file(ratings_file, tmp_path, capsys):
+    """Without --output a command prints the bytes --output writes.  Two rounds in
+    one process: a writer that closed stdout would fail the second."""
+    model = tmp_path / "model.pbmf"
+    assert main(["train", "--input", str(ratings_file), "--algorithm", "cosine_mf",
+                 "--k", "4", "--epochs", "1", "--output", str(model)]) == 0
+    commands = [
+        ["evaluate", "--input", str(ratings_file), "--model", str(model)],
+        ["benchmark", "--input", str(ratings_file), "--algorithms", "random,zipf"],
+    ]
+    out = tmp_path / "out.csv"
+    for _ in range(2):
+        for command in commands:
+            assert main(command + ["--output", str(out)]) == 0
+            capsys.readouterr()
+            assert main(command) == 0
+            assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
 
 def readme_commands():

@@ -93,6 +93,20 @@ class TestLoadMovielens:
         assert ds.user_map == {"9": 0, "2": 1}
         assert ds.item_map == {"30": 0, "11": 1}
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.dat"
+        path.write_bytes(b"\xef\xbb\xbf1::1::5::0\n1::2::4::0\n2::1::3::0\n")
+        ds = load_movielens(path)
+        assert ds.user_map == {"1": 0, "2": 1}
+        assert ds.users.tolist() == [0, 0, 1]
+
+    def test_digit_separator_rating_rejected(self, tmp_path):
+        # float("4_5") is 45.0, which would also make r_max 45.
+        path = tmp_path / "sep.dat"
+        path.write_text("1::10::5::1\n1::20::4_5::2\n")
+        with pytest.raises(RatingsParseError, match=r"sep\.dat:2: rating '4_5' is not a number"):
+            load_movielens(path)
+
 
 class TestLoadCsv:
     def test_single_row(self, tmp_path):
@@ -144,6 +158,19 @@ class TestLoadCsv:
         ds = load_csv(DATA_DIR / "ldos_sample.csv", has_header=True)
         assert (ds.n, ds.m) == (5, 7)
         assert ds.r_max == 5.0
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,1,5\n1,2,4\n2,1,3\n")
+        ds = load_csv(path)
+        assert ds.user_map == {"1": 0, "2": 1}
+        assert ds.users.tolist() == [0, 0, 1]
+
+    def test_digit_separator_rating_rejected(self, tmp_path):
+        path = tmp_path / "sep.csv"
+        path.write_text("u1,i1,5\nu1,i2,1_0.5\n")
+        with pytest.raises(RatingsParseError, match=r"sep\.csv:2: rating '1_0.5' is not a number"):
+            load_csv(path)
 
 
 class TestSplit:

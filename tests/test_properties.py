@@ -1,5 +1,11 @@
 """Property tests against plain-Python oracles: the wave-batched trainer
-against one SGD step at a time, and `top_k` against a plain `sorted`."""
+against one SGD step at a time, `top_k` against a plain `sorted`, the Matthew
+degree against its formula, the rating-file writer against the loader, and
+the CLI against drawn rating and config files."""
+
+import contextlib
+import io
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +13,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from pbmf.model import top_k  # noqa: E402
+from pbmf import cli  # noqa: E402
+from pbmf.data import load_movielens  # noqa: E402
+from pbmf.metrics import MATTHEW_VARIANTS, matthew_degree  # noqa: E402
+from pbmf.model import TopKLists, top_k  # noqa: E402
+from pbmf.synthetic import write_movielens_file  # noqa: E402
 from pbmf.training import ALGORITHMS, TrainConfig, train  # noqa: E402
 
 from conftest import make_dataset  # noqa: E402
@@ -85,3 +95,108 @@ def test_top_k_matches_plain_sort(case, k_top):
                 if j not in skip][:k_top]
         assert items.tolist() == want
         assert scores.tolist() == [score[j] for j in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=st.lists(st.lists(st.integers(0, 9), max_size=5, unique=True), max_size=8),
+       variant=st.sampled_from(MATTHEW_VARIANTS))
+@example(lists=[], variant="literal")
+@example(lists=[[0, 1], [1, 0], []], variant="literal")
+@example(lists=[[2], [2], [2]], variant="pareto")
+def test_matthew_degree_matches_formula(lists, variant):
+    got = matthew_degree(TopKLists(items=[np.array(items, dtype=np.int64) for items in lists],
+                                   scores=[np.zeros(len(items)) for items in lists]), variant)
+    counts = {}
+    for items in lists:
+        for j in items:
+            counts[j] = counts.get(j, 0) + 1
+    x = list(counts.values())
+    if len(set(x)) <= 1:  # no list items, or every frequency equal
+        assert got == math.inf
+        return
+    ref = max(x) if variant == "literal" else min(x)
+    assert math.isclose(got, 1 + len(x) / math.fsum(math.log(c / ref) for c in x),
+                        rel_tol=1e-12)
+    assert got < 1 if variant == "literal" else got > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(dataset=rating_files())
+def test_movielens_file_round_trips(dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("round_trip") / "ratings.dat"
+    write_movielens_file(dataset, path)
+    loaded = load_movielens(path)
+    # The writer shifts ids to 1-based; the loader numbers them by first appearance.
+    user_id = {index: int(key) - 1 for key, index in loaded.user_map.items()}
+    item_id = {index: int(key) - 1 for key, index in loaded.item_map.items()}
+    assert [user_id[u] for u in loaded.users.tolist()] == dataset.users.tolist()
+    assert [item_id[j] for j in loaded.items.tolist()] == dataset.items.tolist()
+    assert loaded.ratings.tolist() == dataset.ratings.tolist()
+    assert (loaded.n, loaded.m) == (len(set(dataset.users.tolist())),
+                                    len(set(dataset.items.tolist())))
+    assert loaded.r_max == dataset.r_max
+
+
+BOM = b"\xef\xbb\xbf"
+GOOD_IDS = ["1", "2", "3", "4"]
+GOOD_RATINGS = ["1", "2", "3", "4", "5", "3.5", " 4 "]
+ODD_IDS = GOOD_IDS + ["a", "", " 2 ", "\ufeff1", "\u00e9"]
+ODD_RATINGS = GOOD_RATINGS + ["0", "-1", "nan", "inf", "1e308", "1e-300", "4_5", "", "x"]
+GOOD_CONFIG = ["k = 3", "epochs = 2", "seed = 7", "test-fraction = 0.4", "beta = 0.1",
+               "algorithms = cosine_mf,zipf", "matthew_variant = pareto", "k-top = 3",
+               "lr = 0.05", "init-scale = 0.5", "# a comment", ""]
+ODD_CONFIG_LINES = st.one_of(
+    st.sampled_from(GOOD_CONFIG),
+    st.tuples(st.sampled_from(["k", "epochs", "lr", "beta", "test-fraction", "algorithms",
+                               "header", "delimiter", "rating-col", "format", "label",
+                               "epoch", ""]),
+              st.sampled_from(["0", "-1", "1.5", "nan", "inf", "x", "", "yes", "dlrm",
+                               "csv", ":", "\\t"])).map(" = ".join),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """A rating file in either format, a config file and a command.  Half the
+    files and configs are clean, so that runs also get past loading and parsing."""
+    fmt = draw(st.sampled_from(["movielens", "csv"]))
+    sep = "::" if fmt == "movielens" else ","
+    if draw(st.booleans()):
+        ids, ratings, junk, prefixes = GOOD_IDS, GOOD_RATINGS, st.nothing(), [b"", BOM]
+    else:
+        ids, ratings, prefixes = ODD_IDS, ODD_RATINGS, [b"", BOM, b"\xe9"]
+        junk = st.text(max_size=12).map(lambda text: (text,))
+    line = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(ratings),
+                     st.sampled_from(["0", "978300760"]))
+    lines = draw(st.lists(line | line.map(lambda fields: fields[:3]) | junk,
+                          min_size=8, max_size=24))
+    text = "".join(sep.join(fields) + "\n" for fields in lines)
+    prefix = draw(st.sampled_from(prefixes))
+    config_lines = st.sampled_from(GOOD_CONFIG) if draw(st.booleans()) else ODD_CONFIG_LINES
+    config = "".join(line + "\n" for line in draw(st.lists(config_lines, max_size=4)))
+    command = draw(st.sampled_from([
+        ["train", "--algorithm", "position_bias_mf", "--beta", "0.5"],
+        ["benchmark", "--algorithms", "cosine_mf,classic_mf,random,zipf"],
+    ]))
+    return fmt, prefix + text.encode("utf-8"), config, command
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=cli_runs())
+def test_cli_survives_drawn_files(run, tmp_path_factory):
+    fmt, rating_bytes, config, command = run
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "ratings").write_bytes(rating_bytes)
+    (directory / "run.cfg").write_text(config, encoding="utf-8")
+    argv = [*command, "--input", str(directory / "ratings"), "--format", fmt,
+            "--config", str(directory / "run.cfg"), "--k", "2", "--epochs", "1",
+            "--output", str(directory / "out")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert sum("error:" in line for line in stderr.getvalue().splitlines()) <= 1
