@@ -262,6 +262,9 @@ def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> 
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.beta and args.algorithm != "position_bias_mf":
+        raise ValueError(f"--beta {args.beta} applies only to position_bias_mf, "
+                         f"not to {args.algorithm}")
     train_set, _ = _split_dataset(args)
     model, history = training.train(train_set, _train_config(args, args.algorithm, args.beta))
     save_model(model, args.output)

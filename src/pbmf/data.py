@@ -14,7 +14,6 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -108,32 +107,31 @@ def _checked_rating(text: str, source: str, lineno: int) -> float:
 
 
 def _build_dataset(
-    triples: Iterable[tuple[str, str, float]], source: str
+    by_pair: dict[tuple[str, str], float], rows: int, source: str
 ) -> RatingsDataset:
-    """Assign dense indices in first-appearance order, keeping the last rating
-    for any duplicated (user, item) pair."""
-    user_map: dict[str, int] = {}
-    item_map: dict[str, int] = {}
-    by_pair: dict[tuple[int, int], float] = {}
-    duplicates = 0
-    for user_id, item_id, rating in triples:
-        ui = user_map.setdefault(user_id, len(user_map))
-        ii = item_map.setdefault(item_id, len(item_map))
-        key = (ui, ii)
-        if key in by_pair:
-            duplicates += 1
-        by_pair[key] = rating
+    """Number users and items in first-appearance order.
+
+    `by_pair` holds the last rating of each (user id, item id) pair of a
+    file's `rows` valid rows, in the order of each pair's first row.  A
+    user's (or item's) first row is also the first row of its pair, so
+    walking the pairs numbers the ids in the order the file shows them.
+    """
     if not by_pair:
         raise EmptyDatasetError(f"{source}: no valid interactions found")
-    if duplicates:
+    if rows > len(by_pair):
         logger.warning(
             "%s: kept the last rating for %d duplicated (user, item) pair(s)",
             source,
-            duplicates,
+            rows - len(by_pair),
         )
-    users = np.fromiter((k[0] for k in by_pair), dtype=np.int64, count=len(by_pair))
-    items = np.fromiter((k[1] for k in by_pair), dtype=np.int64, count=len(by_pair))
-    ratings = np.fromiter(by_pair.values(), dtype=np.float64, count=len(by_pair))
+    user_map: dict[str, int] = {}
+    item_map: dict[str, int] = {}
+    count = len(by_pair)
+    users = np.fromiter((user_map.setdefault(u, len(user_map)) for u, _ in by_pair),
+                        dtype=np.int64, count=count)
+    items = np.fromiter((item_map.setdefault(j, len(item_map)) for _, j in by_pair),
+                        dtype=np.int64, count=count)
+    ratings = np.fromiter(by_pair.values(), dtype=np.float64, count=count)
     return RatingsDataset(
         users=users,
         items=items,
@@ -149,33 +147,32 @@ def _build_dataset(
 def load_movielens(path: str | Path) -> RatingsDataset:
     """Load a `UserID::MovieID::Rating::Timestamp` rating file.
 
-    Blank lines are skipped; lines that do not split into four `::` fields
-    are counted as malformed and reported via logging.  A line with the right
-    shape but a non-numeric (or non-positive) rating raises
-    :class:`RatingsParseError` naming the line number; text that is not
-    UTF-8 raises it naming the file alone.
+    Blank lines are skipped; lines that do not split into four `::` fields,
+    or whose user or item id is empty, are counted as malformed and reported
+    via logging.  A line with the right shape but a non-numeric (or
+    non-positive) rating raises :class:`RatingsParseError` naming the line
+    number; text that is not UTF-8 raises it naming the file alone.
     """
-    path = Path(path)
-    triples: list[tuple[str, str, float]] = []
-    malformed = 0
+    source = str(Path(path))
+    by_pair: dict[tuple[str, str], float] = {}
+    rows = malformed = 0
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
                     continue
                 fields = line.split("::")
-                if len(fields) != 4:
+                if len(fields) != 4 or not fields[0] or not fields[1]:
                     malformed += 1
                     continue
-                triples.append(
-                    (fields[0], fields[1], _checked_rating(fields[2], str(path), lineno))
-                )
+                by_pair[fields[0], fields[1]] = _checked_rating(fields[2], source, lineno)
+                rows += 1
     except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
-        raise RatingsParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise RatingsParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if malformed:
-        logger.warning("%s: skipped %d malformed line(s)", path, malformed)
-    return _build_dataset(triples, str(path))
+        logger.warning("%s: skipped %d malformed line(s)", source, malformed)
+    return _build_dataset(by_pair, rows, source)
 
 
 def load_csv(
@@ -190,15 +187,17 @@ def load_csv(
 
     Raises :class:`ValueError` for a negative column index and
     :class:`SchemaError` if a data row is shorter than the requested
-    columns, the csv module cannot parse it or the file is not UTF-8.
-    Duplicate (user, item) pairs keep the last occurrence.
+    columns or has an empty user or item id, the csv module cannot parse
+    it or the file is not UTF-8.  Duplicate (user, item) pairs keep the
+    last occurrence.
     """
     if min(user_col, item_col, rating_col) < 0:
         raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
-    path = Path(path)
+    source = str(Path(path))
     needed = max(user_col, item_col, rating_col) + 1
-    triples: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    by_pair: dict[tuple[str, str], float] = {}
+    rows = 0
+    with open(source, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             for rowno, row in enumerate(reader, start=1):
@@ -208,20 +207,18 @@ def load_csv(
                     continue
                 if len(row) < needed:
                     raise SchemaError(
-                        f"{path}:{rowno}: expected at least {needed} columns, found {len(row)}"
+                        f"{source}:{rowno}: expected at least {needed} columns, found {len(row)}"
                     )
-                triples.append(
-                    (
-                        row[user_col].strip(),
-                        row[item_col].strip(),
-                        _checked_rating(row[rating_col].strip(), str(path), rowno),
-                    )
-                )
+                user_id, item_id = row[user_col].strip(), row[item_col].strip()
+                if not user_id or not item_id:
+                    raise SchemaError(f"{source}:{rowno}: empty user or item id")
+                by_pair[user_id, item_id] = _checked_rating(row[rating_col].strip(), source, rowno)
+                rows += 1
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+            raise SchemaError(f"{source}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return _build_dataset(triples, str(path))
+            raise SchemaError(f"{source}: not UTF-8 text ({exc.reason})") from None
+    return _build_dataset(by_pair, rows, source)
 
 
 def _subset(dataset: RatingsDataset, mask: np.ndarray) -> RatingsDataset:

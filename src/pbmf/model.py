@@ -21,6 +21,13 @@ _HEADER = struct.Struct("<4sBQQQBd")  # magic, version, n, m, k, mode, r_max
 NORM_EPSILON = 1e-12
 
 
+def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines u . v / max(|u| |v|, NORM_EPSILON) from the dot products and
+    squared norms of the pairs, and the denominators they were divided by."""
+    denom = np.maximum(np.sqrt(u_sq) * np.sqrt(v_sq), NORM_EPSILON)
+    return dots / denom, denom
+
+
 class ModelFormatError(ValueError):
     """The file is not a factor-model file (bad magic or unknown version)."""
 
@@ -33,10 +40,10 @@ class ModelCorruptionError(ValueError):
 class FactorModel:
     """User factors U (n x k) and item factors V (m x k) plus a prediction mode.
 
-    "dot" mode scores a pair with U_i . V_j; "cosine" mode with the
-    normalized score U_i . V_j / max(|U_i| |V_j|, NORM_EPSILON), which is
-    invariant to the scale of either factor row.  `r_max` carries the rating
-    scale of the training data so scores can be mapped back to ratings.
+    "dot" mode scores a pair with U_i . V_j; "cosine" mode with their
+    :func:`cosine`, which is invariant to the scale of either factor row.
+    `r_max` carries the rating scale of the training data so scores can be
+    mapped back to ratings.
     """
 
     U: np.ndarray
@@ -70,45 +77,36 @@ class FactorModel:
 
     def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score of each (users[t], items[t]) pair: U_i . V_j in dot mode,
-        U_i . V_j / max(|U_i| |V_j|, NORM_EPSILON) in cosine mode."""
+        their cosine in cosine mode."""
         us = self.U[users]
         vs = self.V[items]
         dots = np.einsum("ij,ij->i", us, vs)
         if self.mode == "dot":
             return dots
-        denom = np.maximum(
-            np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1),
-            NORM_EPSILON,
-        )
-        return dots / denom
+        # The gathers are copies, so square them in place.  The pairwise `sum`,
+        # not einsum, fixes the last digits of the loss history.
+        return cosine(dots, np.square(us, out=us).sum(axis=1),
+                      np.square(vs, out=vs).sum(axis=1))[0]
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i (mode-dependent)."""
-        dots = self.V @ self.U[i]
+        u = self.U[i]
+        dots = self.V @ u
         if self.mode == "dot":
             return dots
-        denom = np.maximum(
-            float(np.linalg.norm(self.U[i])) * np.linalg.norm(self.V, axis=1),
-            NORM_EPSILON,
-        )
-        return dots / denom
-
-    def predicted_ratings(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Pair scores mapped back to the rating scale [0, r_max]."""
-        scores = self.pair_scores(users, items)
-        if self.mode == "cosine":
-            return np.clip(scores, 0.0, 1.0) * self.r_max
-        return np.clip(scores, 0.0, self.r_max)
+        return cosine(dots, u @ u, np.einsum("ij,ij->i", self.V, self.V))[0]
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Score on the normalized [~0, 1] scale compared against 1/m.
+        """Score on the normalized [~0, 1] scale compared against 1/m: the
+        cosine itself, or in dot mode U_i . V_j / r_max clipped to [0, 1]."""
+        scores = self.pair_scores(users, items)
+        if self.mode == "dot":
+            return np.clip(scores / self.r_max, 0.0, 1.0)
+        return scores
 
-        Cosine mode uses the cosine itself; dot mode falls back to
-        predicted rating / r_max.
-        """
-        if self.mode == "cosine":
-            return self.pair_scores(users, items)
-        return self.predicted_ratings(users, items) / self.r_max
+    def predicted_ratings(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Normalized scores mapped back to the rating scale [0, r_max]."""
+        return np.clip(self.normalized_scores(users, items), 0.0, 1.0) * self.r_max
 
 
 def init_model(

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import EmptyDatasetError, RatingsDataset
-from .model import NORM_EPSILON, FactorModel, init_model
+from .model import NORM_EPSILON, FactorModel, cosine, init_model
 
 ALGORITHMS = ("classic_mf", "cosine_mf", "position_bias_mf")
 
@@ -93,7 +93,8 @@ def gradients(u: np.ndarray, v: np.ndarray, ratings: np.ndarray, mode: str, r_ma
 
     The direction of each gradient is tangential (grad_u . u = 0), because
     the cosine is invariant to the length of either vector.  Every
-    denominator is floored at NORM_EPSILON, as in the model's scoring.
+    denominator is floored at NORM_EPSILON: |u| |v| in `model.cosine`, which
+    the model scores with too, and |u|^2, |v|^2 here.
     """
     dots = np.einsum("ij,ij->i", u, v)[:, None]
     ratings = ratings[:, None]
@@ -102,8 +103,7 @@ def gradients(u: np.ndarray, v: np.ndarray, ratings: np.ndarray, mode: str, r_ma
         return g * v, g * u
     nu2 = np.einsum("ij,ij->i", u, u)[:, None]
     nv2 = np.einsum("ij,ij->i", v, v)[:, None]
-    denom = np.maximum(np.sqrt(nu2) * np.sqrt(nv2), NORM_EPSILON)
-    c = dots / denom
+    c, denom = cosine(dots, nu2, nv2)
     g = -2.0 * (ratings / r_max - c) + 2.0 * beta * (c - 1.0 / m)
     grad_u = g * (v / denom - c / np.maximum(nu2, NORM_EPSILON) * u)
     grad_v = g * (u / denom - c / np.maximum(nv2, NORM_EPSILON) * v)

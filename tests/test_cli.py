@@ -94,6 +94,30 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.count(f"argument {flag}: expected") == 1
 
+    @pytest.mark.parametrize("algorithm", ["cosine_mf", "classic_mf"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_beta_without_penalty_rejected(self, algorithm, from_config, ratings_file,
+                                           tmp_path, capsys, monkeypatch):
+        # Only position_bias_mf has a penalty; any other algorithm would drop --beta.
+        def no_loading(*args, **kwargs):
+            raise AssertionError("read the data before --beta was checked")
+
+        monkeypatch.setattr("pbmf.data.load_movielens", no_loading)
+        config = tmp_path / "run.cfg"
+        config.write_text("beta = 0.5\n")
+        beta = ["--config", str(config)] if from_config else ["--beta", "0.5"]
+        code = main(["train", "--input", str(ratings_file), "--algorithm", algorithm,
+                     *beta, "--k", "2", "--epochs", "1", "--output", str(tmp_path / "m.pbmf")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: --beta")
+        assert not (tmp_path / "m.pbmf").exists()
+
+    def test_zero_beta_trains_cosine(self, ratings_file, tmp_path):
+        assert main(["train", "--input", str(ratings_file), "--algorithm", "cosine_mf",
+                     "--beta", "0", "--k", "2", "--epochs", "1",
+                     "--output", str(tmp_path / "m.pbmf")]) == 0
+
     @pytest.mark.parametrize("digits", [50, 400])
     def test_long_seed_trains(self, digits, ratings_file, tmp_path):
         # An int past ~1e308 cannot become a float, so no check may convert one.

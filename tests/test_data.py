@@ -100,6 +100,15 @@ class TestLoadMovielens:
         assert ds.user_map == {"1": 0, "2": 1}
         assert ds.users.tolist() == [0, 0, 1]
 
+    def test_empty_id_is_malformed(self, tmp_path, caplog):
+        path = tmp_path / "empty_id.dat"
+        path.write_text("::1::5::0\n1::2::4::0\n2::::3::0\n2::1::3::0\n")
+        with caplog.at_level(logging.WARNING):
+            ds = load_movielens(path)
+        assert ds.user_map == {"1": 0, "2": 1}
+        assert ds.item_map == {"2": 0, "1": 1}
+        assert "2 malformed" in caplog.text
+
     def test_digit_separator_rating_rejected(self, tmp_path):
         # float("4_5") is 45.0, which would also make r_max 45.
         path = tmp_path / "sep.dat"
@@ -165,6 +174,13 @@ class TestLoadCsv:
         ds = load_csv(path)
         assert ds.user_map == {"1": 0, "2": 1}
         assert ds.users.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("row", [" ,1,5", "2,,3"])
+    def test_empty_id_is_schema_error(self, tmp_path, row):
+        path = tmp_path / "empty_id.csv"
+        path.write_text(f"1,1,4\n{row}\n")
+        with pytest.raises(SchemaError, match=r"empty_id\.csv:2: empty user or item id"):
+            load_csv(path)
 
     def test_digit_separator_rating_rejected(self, tmp_path):
         path = tmp_path / "sep.csv"

@@ -1,10 +1,12 @@
 """Property tests against plain-Python oracles: the wave-batched trainer
 against one SGD step at a time, `top_k` against a plain `sorted`, the Matthew
-degree against its formula, the rating-file writer against the loader, and
-the CLI against drawn rating and config files."""
+degree against its formula, the rating-file writer against the loader, both
+loaders against a row-by-row reference, and the CLI against drawn rating and
+config files."""
 
 import contextlib
 import io
+import logging
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pbmf import cli  # noqa: E402
-from pbmf.data import load_movielens  # noqa: E402
+from pbmf.data import load_csv, load_movielens  # noqa: E402
 from pbmf.metrics import MATTHEW_VARIANTS, matthew_degree  # noqa: E402
 from pbmf.model import TopKLists, top_k  # noqa: E402
 from pbmf.synthetic import write_movielens_file  # noqa: E402
@@ -135,6 +137,59 @@ def test_movielens_file_round_trips(dataset, tmp_path_factory):
     assert (loaded.n, loaded.m) == (len(set(dataset.users.tolist())),
                                     len(set(dataset.items.tolist())))
     assert loaded.r_max == dataset.r_max
+
+
+def reference_load(rows):
+    """Number ids row by row in first-appearance order; a repeated pair keeps
+    its first position and takes its last rating."""
+    user_map, item_map, position, pairs = {}, {}, {}, []
+    for user_id, item_id, rating in rows:
+        pair = (user_map.setdefault(user_id, len(user_map)),
+                item_map.setdefault(item_id, len(item_map)))
+        if pair in position:
+            pairs[position[pair]] = (*pair, rating)
+        else:
+            position[pair] = len(pairs)
+            pairs.append((*pair, rating))
+    users, items, ratings = (list(column) for column in zip(*pairs))
+    return users, items, ratings, user_map, item_map, len(rows) - len(pairs)
+
+
+class DuplicateCounts(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.counts = []
+
+    def emit(self, record):
+        if "duplicated" in record.msg:
+            self.counts.append(record.args[1])
+
+
+# At most 5 user ids and 5 item ids over up to 40 rows: pairs repeat often.
+@settings(max_examples=100, deadline=None)
+@given(fmt=st.sampled_from(["movielens", "csv"]),
+       rows=st.lists(st.tuples(st.sampled_from(["1", "2", "10", "a", "x7"]),
+                               st.sampled_from(["1", "3", "30", "b", "y"]),
+                               st.sampled_from(["1", "2", "3.5", "4", "5"])),
+                     min_size=1, max_size=40))
+def test_loaders_match_row_by_row_reference(fmt, rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("dedup") / "ratings"
+    sep, load = ("::", load_movielens) if fmt == "movielens" else (",", load_csv)
+    path.write_text("".join(sep.join((*row, "0")) + "\n" for row in rows), encoding="utf-8")
+    handler = DuplicateCounts()
+    logger = logging.getLogger("pbmf.data")
+    logger.addHandler(handler)
+    try:
+        loaded = load(path)
+    finally:
+        logger.removeHandler(handler)
+    users, items, ratings, user_map, item_map, duplicates = reference_load(
+        [(u, j, float(r)) for u, j, r in rows])
+    assert loaded.users.tolist() == users
+    assert loaded.items.tolist() == items
+    assert loaded.ratings.tolist() == ratings
+    assert (loaded.user_map, loaded.item_map) == (user_map, item_map)
+    assert handler.counts == ([duplicates] if duplicates else [])
 
 
 BOM = b"\xef\xbb\xbf"
