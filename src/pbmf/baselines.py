@@ -32,15 +32,6 @@ def _hash_uniform(seed: int, users, items):
     return (h >> _U64(11)) * 2.0**-53
 
 
-def popularity_ranks(counts: np.ndarray) -> np.ndarray:
-    """Rank items 1..m by descending count, ties broken by ascending index."""
-    counts = np.asarray(counts)
-    order = np.lexsort((np.arange(counts.shape[0]), -counts))
-    ranks = np.empty(counts.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(1, counts.shape[0] + 1)
-    return ranks
-
-
 class RandomScorer:
     """Scores every (user, item) pair with an i.i.d.-style uniform value.
 
@@ -72,19 +63,18 @@ class ZipfScorer:
     """
 
     def __init__(self, popularity_rank: np.ndarray, r_max: float):
-        ranks = np.asarray(popularity_rank, dtype=np.int64)
-        m = ranks.shape[0]
-        if not np.array_equal(np.sort(ranks), np.arange(1, m + 1)):
-            raise ValueError("popularity_rank must be a bijection onto 1..m")
         self.r_max = float(r_max)
-        self._inv_rank = 1.0 / ranks
+        self._inv_rank = 1.0 / np.asarray(popularity_rank, dtype=np.int64)
         self._inv_rank.setflags(write=False)
 
     @classmethod
     def from_dataset(cls, dataset: RatingsDataset) -> "ZipfScorer":
-        """Build ranks from rating counts in a (training) dataset."""
-        counts = np.bincount(dataset.items, minlength=dataset.m)
-        return cls(popularity_ranks(counts), dataset.r_max)
+        """Rank the items 1..m by their rating count in a (training) dataset,
+        most-rated first; the stable sort breaks ties by ascending index."""
+        order = np.argsort(-np.bincount(dataset.items, minlength=dataset.m), kind="stable")
+        ranks = np.empty(dataset.m, dtype=np.int64)
+        ranks[order] = np.arange(1, dataset.m + 1)
+        return cls(ranks, dataset.r_max)
 
     def scores_for_user(self, i: int) -> np.ndarray:
         return self._inv_rank

@@ -29,14 +29,15 @@ BENCHMARK_ALGORITHMS = training.ALGORITHMS + ("random", "zipf")
 
 def _number(cast: type, ok: Callable[[Any], bool], expected: str) -> Callable[[str], Any]:
     """An argparse type: `cast` the text and keep the value if `ok(value)` holds
-    and, for a float, the value is finite (so NaN and ±inf are usage errors)."""
+    and, for a float, the value is finite (so NaN and ±inf are usage errors).
+    Text with a `_` is one too: int() and float() read "3_2" as 32."""
     def parse(text: str) -> Any:
         try:
             value = cast(text)
         except ValueError:
             pass
         else:
-            if ok(value) and (cast is int or math.isfinite(value)):
+            if "_" not in text and ok(value) and (cast is int or math.isfinite(value)):
                 return value
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse

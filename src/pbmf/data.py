@@ -65,13 +65,9 @@ class RatingsDataset:
 
     def items_by_user(self) -> list[np.ndarray]:
         """Item indices rated by each user, indexed by user index."""
-        order = np.argsort(self.users, kind="stable")
-        sorted_users = self.users[order]
-        sorted_items = self.items[order]
-        user_range = np.arange(self.n)
-        starts = np.searchsorted(sorted_users, user_range, side="left")
-        ends = np.searchsorted(sorted_users, user_range, side="right")
-        return [sorted_items[s:e] for s, e in zip(starts, ends)]
+        sorted_items = self.items[np.argsort(self.users, kind="stable")]
+        bounds = [0, *np.bincount(self.users, minlength=self.n).cumsum().tolist()]
+        return [sorted_items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -147,8 +143,9 @@ def _build_dataset(
 def load_movielens(path: str | Path) -> RatingsDataset:
     """Load a `UserID::MovieID::Rating::Timestamp` rating file.
 
-    Blank lines are skipped; lines that do not split into four `::` fields,
-    or whose user or item id is empty, are counted as malformed and reported
+    Blank lines are skipped; ids are stripped of surrounding whitespace, as
+    in :func:`load_csv`.  Lines that do not split into four `::` fields, or
+    whose user or item id is empty, are counted as malformed and reported
     via logging.  A line with the right shape but a non-numeric (or
     non-positive) rating raises :class:`RatingsParseError` naming the line
     number; text that is not UTF-8 raises it naming the file alone.
@@ -163,10 +160,11 @@ def load_movielens(path: str | Path) -> RatingsDataset:
                 if not line:
                     continue
                 fields = line.split("::")
-                if len(fields) != 4 or not fields[0] or not fields[1]:
+                ids = (fields[0].strip(), fields[1].strip()) if len(fields) == 4 else ("", "")
+                if not all(ids):  # not four fields, or an empty id
                     malformed += 1
                     continue
-                by_pair[fields[0], fields[1]] = _checked_rating(fields[2], source, lineno)
+                by_pair[ids] = _checked_rating(fields[2], source, lineno)
                 rows += 1
     except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
         raise RatingsParseError(f"{source}: not UTF-8 text ({exc.reason})") from None

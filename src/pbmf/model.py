@@ -83,10 +83,7 @@ class FactorModel:
         dots = np.einsum("ij,ij->i", us, vs)
         if self.mode == "dot":
             return dots
-        # The gathers are copies, so square them in place.  The pairwise `sum`,
-        # not einsum, fixes the last digits of the loss history.
-        return cosine(dots, np.square(us, out=us).sum(axis=1),
-                      np.square(vs, out=vs).sum(axis=1))[0]
+        return cosine(dots, np.einsum("ij,ij->i", us, us), np.einsum("ij,ij->i", vs, vs))[0]
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i (mode-dependent)."""
@@ -94,7 +91,7 @@ class FactorModel:
         dots = self.V @ u
         if self.mode == "dot":
             return dots
-        return cosine(dots, u @ u, np.einsum("ij,ij->i", self.V, self.V))[0]
+        return cosine(dots, np.einsum("j,j", u, u), np.einsum("ij,ij->i", self.V, self.V))[0]
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score on the normalized [~0, 1] scale compared against 1/m: the

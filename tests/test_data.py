@@ -102,12 +102,12 @@ class TestLoadMovielens:
 
     def test_empty_id_is_malformed(self, tmp_path, caplog):
         path = tmp_path / "empty_id.dat"
-        path.write_text("::1::5::0\n1::2::4::0\n2::::3::0\n2::1::3::0\n")
+        path.write_text("::1::5::0\n1::2::4::0\n2::::3::0\n2::1::3::0\n3:: ::3::0\n")
         with caplog.at_level(logging.WARNING):
             ds = load_movielens(path)
         assert ds.user_map == {"1": 0, "2": 1}
         assert ds.item_map == {"2": 0, "1": 1}
-        assert "2 malformed" in caplog.text
+        assert "3 malformed" in caplog.text
 
     def test_digit_separator_rating_rejected(self, tmp_path):
         # float("4_5") is 45.0, which would also make r_max 45.

@@ -1,6 +1,6 @@
-"""Property test for the numeric flags: each one either parses to a finite
-value inside its bound or is a usage error (exit 2); nothing else escapes
-`parse_args`, whatever text it is given."""
+"""Property test for the numeric flags: each one either parses a plain decimal
+number to a finite value inside its bound or is a usage error (exit 2);
+nothing else escapes `parse_args`, whatever text it is given."""
 
 import math
 
@@ -53,16 +53,27 @@ def test_every_flag_type_is_classified():
                          ids=[f"{command}{flag}" for command, flag, _, _ in FLAGS])
 @settings(max_examples=25, deadline=None)
 @given(text=TEXTS)
-# Always tried, whatever is drawn: the non-finite floats and an int too large
-# to become a float.
+# Always tried, whatever is drawn: the non-finite floats, an int too large
+# to become a float, and PEP 515 digit separators, which int() and float()
+# read ("3_2" as 32, "0_1" as 1.0) but a plain decimal number never has.
 @example(text="nan")
 @example(text="inf")
 @example(text="-inf")
 @example(text="9" * 400)
+@example(text="3_2")
+@example(text="0_1")
 def test_numeric_flag_is_bounded_or_usage_error(command, flag, dest, parse, text):
     try:
         args = PARSER.parse_args([command, *REQUIRED[command], f"{flag}={text}"])
     except SystemExit as exc:
         assert exc.code == 2
     else:
-        assert BOUNDS[parse](getattr(args, dest)), text
+        assert "_" not in text and BOUNDS[parse](getattr(args, dest)), text
+
+
+def test_digit_separator_in_config_is_usage_error(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("k = 3_2\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["benchmark", "--input", "r.dat", "--config", str(tmp_path / "run.cfg")])
+    assert exc.value.code == 2
+    assert "'3_2'" in capsys.readouterr().err

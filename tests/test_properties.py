@@ -1,8 +1,8 @@
 """Property tests against plain-Python oracles: the wave-batched trainer
-against one SGD step at a time, `top_k` against a plain `sorted`, the Matthew
-degree against its formula, the rating-file writer against the loader, both
-loaders against a row-by-row reference, and the CLI against drawn rating and
-config files."""
+against one SGD step at a time, `items_by_user` against a grouping in file
+order, `top_k` against a plain `sorted`, the Matthew degree against its
+formula, the rating-file writer against the loader, both loaders against a
+row-by-row reference, and the CLI against drawn rating and config files."""
 
 import contextlib
 import io
@@ -59,6 +59,20 @@ def test_train_matches_sequential_oracle(dataset, algorithm, beta, epochs):
     U, V = sequential_sgd_oracle(dataset, config)
     assert np.abs(model.U - U).max() <= 1e-12
     assert np.abs(model.V - V).max() <= 1e-12
+
+
+# Users 0..7 with some left out, then 1-3 users past the largest one: every
+# draw has users with no rows.
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), min_size=1, max_size=30),
+       empty_tail=st.integers(1, 3))
+@example(rows=[(2, 5), (0, 3), (2, 1), (0, 3), (2, 0)], empty_tail=1)
+def test_items_by_user_matches_file_order_grouping(rows, empty_tail):
+    users, items = zip(*rows)
+    n = max(users) + 1 + empty_tail
+    dataset = make_dataset(users, items, [1.0] * len(rows), n=n)
+    want = [[j for user, j in rows if user == i] for i in range(n)]
+    assert [group.tolist() for group in dataset.items_by_user()] == want
 
 
 class RowScorer:
@@ -140,10 +154,11 @@ def test_movielens_file_round_trips(dataset, tmp_path_factory):
 
 
 def reference_load(rows):
-    """Number ids row by row in first-appearance order; a repeated pair keeps
-    its first position and takes its last rating."""
+    """Number ids, stripped of spaces, row by row in first-appearance order; a
+    repeated pair keeps its first position and takes its last rating."""
     user_map, item_map, position, pairs = {}, {}, {}, []
     for user_id, item_id, rating in rows:
+        user_id, item_id = user_id.strip(), item_id.strip()
         pair = (user_map.setdefault(user_id, len(user_map)),
                 item_map.setdefault(item_id, len(item_map)))
         if pair in position:
@@ -165,13 +180,15 @@ class DuplicateCounts(logging.Handler):
             self.counts.append(record.args[1])
 
 
-# At most 5 user ids and 5 item ids over up to 40 rows: pairs repeat often.
+# At most 5 user ids and 5 item ids, some also written with spaces, over up
+# to 40 rows: pairs repeat often.
 @settings(max_examples=100, deadline=None)
 @given(fmt=st.sampled_from(["movielens", "csv"]),
-       rows=st.lists(st.tuples(st.sampled_from(["1", "2", "10", "a", "x7"]),
-                               st.sampled_from(["1", "3", "30", "b", "y"]),
+       rows=st.lists(st.tuples(st.sampled_from(["1", "2", "10", "a", "x7", "1 ", " a"]),
+                               st.sampled_from(["1", "3", "30", "b", "y", " 3", "y "]),
                                st.sampled_from(["1", "2", "3.5", "4", "5"])),
                      min_size=1, max_size=40))
+@example(fmt="movielens", rows=[("1 ", "3", "4"), ("1", " 3", "5"), ("2", "3", "1")])
 def test_loaders_match_row_by_row_reference(fmt, rows, tmp_path_factory):
     path = tmp_path_factory.mktemp("dedup") / "ratings"
     sep, load = ("::", load_movielens) if fmt == "movielens" else (",", load_csv)
