@@ -199,6 +199,26 @@ def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
     return tokens
 
 
+def _join_number_values(sub: argparse.ArgumentParser, tokens: list[str]) -> list[str]:
+    """Join each value-taking flag of `sub` to a next token that float() reads,
+    as `flag=value`: argparse takes a value such as -1e-3 or -inf for an option
+    string.  No option string reads as a float, so `--beta --k` stays apart."""
+    takes_value = {flag for action in sub._actions if action.nargs != 0
+                   for flag in action.option_strings}
+    joined: list[str] = []
+    for token in tokens:
+        if joined and joined[-1] in takes_value:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{joined[-1]}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def _split_dataset(args: argparse.Namespace):
     if args.format == "movielens":
         dataset = data.load_movielens(args.input)
@@ -318,6 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, subs = build_parser()
     sub = subs.get(argv[0]) if argv else None
     if sub is not None:
+        argv[1:] = _join_number_values(sub, argv[1:])
         pre = argparse.ArgumentParser(prog=sub.prog, add_help=False)
         pre.add_argument("--config")
         config_path = pre.parse_known_args(argv[1:])[0].config

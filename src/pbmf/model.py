@@ -153,7 +153,7 @@ def top_k(
 
     `scorer` exposes scores_for_user(i), the score of every item for user i.
     `exclude` gives per-user item indices to leave out of the lists
-    (typically each user's training items).
+    (typically each user's training items).  NaN scores rank last.
     """
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
@@ -162,15 +162,21 @@ def top_k(
     scores: list[np.ndarray] = []
     for i in range(n_users):
         row = np.asarray(score_row(i), dtype=np.float64)
-        # Stable sort on the negated scores keeps ascending item index
-        # within every group of tied scores.
-        order = np.argsort(-row, kind="stable")
-        if exclude is not None and len(exclude[i]):
-            keep = np.ones(row.shape[0], dtype=bool)
+        keep = np.ones(row.shape[0], dtype=bool)
+        if exclude is not None:
             keep[exclude[i]] = False
-            order = order[keep[order]]
-        # Copy the head so the list does not keep the whole sorted row alive.
-        top = order[:k_top].copy()
+        candidates = np.flatnonzero(keep)
+        neg = -row[candidates]
+        if neg.shape[0] > k_top:
+            # Keep every candidate not worse than the k-th best: the ties at
+            # the k-th score and the NaNs stay in, and a NaN k-th keeps all,
+            # so the stable sort below orders exactly as a sort of all would.
+            kth = np.partition(neg, k_top - 1)[k_top - 1]
+            near = np.flatnonzero(~(neg > kth))
+            candidates, neg = candidates[near], neg[near]
+        # Stable sort on the negated scores keeps ascending item index
+        # within every group of tied scores, and puts NaN last.
+        top = candidates[np.argsort(neg, kind="stable")[:k_top]]
         items.append(top)
         scores.append(row[top])
     return TopKLists(items=items, scores=scores)

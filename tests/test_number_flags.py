@@ -77,3 +77,25 @@ def test_digit_separator_in_config_is_usage_error(tmp_path, capsys):
         cli.main(["benchmark", "--input", "r.dat", "--config", str(tmp_path / "run.cfg")])
     assert exc.value.code == 2
     assert "'3_2'" in capsys.readouterr().err
+
+
+# Values argparse alone takes for option strings, given as the next token.
+SPACED_NEGATIVES = ["-1e-3", "-inf", "-1e5"]
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flag, _, _ in FLAGS],
+                         ids=[f"{command}{flag}" for command, flag, _, _ in FLAGS])
+@pytest.mark.parametrize("text", SPACED_NEGATIVES)
+def test_spaced_negative_value_gets_the_range_error(command, flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED[command], flag, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected " in err and f"got {text!r}" in err, err
+
+
+def test_option_string_is_not_taken_for_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", *REQUIRED["train"], "--beta", "--k", "3"])
+    assert exc.value.code == 2
+    assert "argument --beta: expected one argument" in capsys.readouterr().err

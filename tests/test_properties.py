@@ -1,13 +1,15 @@
 """Property tests against plain-Python oracles: the wave-batched trainer
 against one SGD step at a time, `items_by_user` against a grouping in file
-order, `top_k` against a plain `sorted`, the Matthew degree against its
-formula, the rating-file writer against the loader, both loaders against a
-row-by-row reference, and the CLI against drawn rating and config files."""
+order, `top_k` against a plain `sorted` and a full stable `argsort`, the
+Matthew degree against its formula, the rating-file writer against the
+loader, both loaders against a row-by-row reference, and the CLI against
+drawn rating and config files and drawn argv lists."""
 
 import contextlib
 import io
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,42 @@ def test_top_k_matches_plain_sort(case, k_top):
                 if j not in skip][:k_top]
         assert items.tolist() == want
         assert scores.tolist() == [score[j] for j in want]
+
+
+# Scores on which a partial and a full sort could disagree: NaN, both
+# infinities, both zeros and a few finite values.
+RANK_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 0.2, -1.0]
+
+
+@st.composite
+def ranking_cases(draw):
+    """One score row, a list length, and no exclusions or a set of them that may
+    leave fewer than k_top items, or none.  Copies of the k-th best remaining
+    score are planted on other items, so that ties straddle the cut."""
+    m = draw(st.integers(1, 12))
+    row = draw(st.lists(st.sampled_from(RANK_VALUES), min_size=m, max_size=m))
+    k_top = draw(st.integers(1, m + 2))
+    skip = draw(st.none() | st.sets(st.integers(0, m - 1)).map(sorted)
+                | st.just(list(range(m))))
+    left = [j for j in np.argsort(-np.array(row), kind="stable") if j not in (skip or [])]
+    if len(left) >= k_top:
+        for j in draw(st.sets(st.integers(0, m - 1), max_size=3)):
+            row[j] = row[left[k_top - 1]]
+    return row, skip, k_top
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranking_cases())
+@example(case=([0.5, -math.inf, 0.2], None, 3))
+@example(case=([math.nan] * 5, None, 2))
+def test_top_k_matches_stable_argsort(case):
+    row, skip, k_top = case
+    lists = top_k(RowScorer([row]), 1, k_top,
+                  exclude=None if skip is None else [np.array(skip, dtype=np.int64)])
+    order = np.argsort(-np.array(row), kind="stable")
+    want = order[~np.isin(order, skip or [])][:k_top]
+    assert lists.items[0].tolist() == want.tolist()
+    np.testing.assert_array_equal(lists.scores[0], np.array(row)[want])
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,4 +309,71 @@ def test_cli_survives_drawn_files(run, tmp_path_factory):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2)
+    assert sum("error:" in line for line in stderr.getvalue().splitlines()) <= 1
+
+
+SAMPLE = Path(__file__).parent / "data" / "ml1m_sample.dat"
+# Values a flag could be given: half the time a plain one that many flags
+# accept, so that runs also get past parsing, else one argparse alone would
+# take for an option string, a number out of range or a word some flags take.
+FLAG_VALUES = (st.sampled_from(["1", "3", "0.5"])
+               | st.sampled_from(["-1", "-1e-3", "-inf", "-0", "nan", "1e5", "cosine_mf",
+                                  "pareto", "csv"]))
+# Flags the run always sets: the files it reads and writes, and a small model.
+FIXED_FLAGS = {"-h", "--input", "--output", "--model", "--config", "--k", "--epochs"}
+SUBS = cli.build_parser()[1]
+
+
+@pytest.fixture(scope="module")
+def sample_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.pbmf"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--input", str(SAMPLE), "--algorithm", "cosine_mf",
+                         "--k", "2", "--epochs", "1", "--output", str(path)]) == 0
+    return path
+
+
+@st.composite
+def argv_runs(draw):
+    """A subcommand, its drawn flags in a shuffled order, each given as one
+    `flag=value` token or two tokens, and config lines whose keys overlap them."""
+    command = draw(st.sampled_from(sorted(SUBS)))
+    flags = [action for action in SUBS[command]._actions
+             if not FIXED_FLAGS.intersection(action.option_strings)]
+    groups = []
+    for action in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            groups.append([flag])
+        else:
+            value = draw(FLAG_VALUES)
+            groups.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    if command == "train":
+        groups.append(["--algorithm", draw(st.sampled_from(ALGORITHMS))])
+    config = draw(st.lists(st.tuples(
+        st.sampled_from([action.dest for action in flags] + ["k", "epochs"]),
+        FLAG_VALUES), max_size=2))
+    return command, draw(st.permutations(groups)), config
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=argv_runs())
+def test_cli_survives_drawn_argv(run, sample_model, tmp_path_factory):
+    command, groups, config = run
+    directory = tmp_path_factory.mktemp("argv")
+    (directory / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in config),
+                                       encoding="utf-8")
+    argv = [command, "--input", str(SAMPLE), "--config", str(directory / "run.cfg"),
+            "--output", str(directory / "out")]
+    argv += (["--model", str(sample_model)] if command == "evaluate"
+             else ["--k", "2", "--epochs", "1"])
+    argv += [token for group in groups for token in group]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
     assert sum("error:" in line for line in stderr.getvalue().splitlines()) <= 1
