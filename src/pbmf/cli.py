@@ -199,23 +199,36 @@ def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
     return tokens
 
 
+def _reads_as_numbers(token: str) -> bool:
+    """Whether float() reads every comma-separated part of `token`."""
+    try:
+        for part in token.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
 def _join_number_values(sub: argparse.ArgumentParser, tokens: list[str]) -> list[str]:
-    """Join each value-taking flag of `sub` to a next token that float() reads,
-    as `flag=value`: argparse takes a value such as -1e-3 or -inf for an option
-    string.  No option string reads as a float, so `--beta --k` stays apart."""
-    takes_value = {flag for action in sub._actions if action.nargs != 0
-                   for flag in action.option_strings}
+    """Join each value-taking flag of `sub`, or a unique prefix of one as argparse
+    resolves it, to a next token of numbers (one, or a comma list) as
+    `flag=value`: argparse takes a value such as -1e-3, -inf or -1,0.5 for an
+    option string.  No option string reads as a float, so `--beta --k` stays apart."""
+    flags = {flag: action.nargs != 0 for action in sub._actions
+             for flag in action.option_strings}
+
+    def takes_value(token: str) -> bool:
+        if token in flags:
+            return flags[token]
+        matches = [flag for flag in flags if token.startswith("--") and flag.startswith(token)]
+        return len(matches) == 1 and flags[matches[0]]
+
     joined: list[str] = []
     for token in tokens:
-        if joined and joined[-1] in takes_value:
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                joined[-1] = f"{joined[-1]}={token}"
-                continue
-        joined.append(token)
+        if joined and takes_value(joined[-1]) and _reads_as_numbers(token):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
     return joined
 
 

@@ -20,6 +20,10 @@ _HEADER = struct.Struct("<4sBQQQBd")  # magic, version, n, m, k, mode, r_max
 # Floor of every cosine denominator, so a zero-norm factor row scores 0.
 NORM_EPSILON = 1e-12
 
+# Bytes of U rows, and as many of V rows, that pair_scores gathers per block:
+# the blocks stay cache-resident and its working memory does not grow with N.
+CHUNK_BYTES = 256 * 1024
+
 
 def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosines u . v / max(|u| |v|, NORM_EPSILON) from the dot products and
@@ -77,13 +81,30 @@ class FactorModel:
 
     def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score of each (users[t], items[t]) pair: U_i . V_j in dot mode,
-        their cosine in cosine mode."""
-        us = self.U[users]
-        vs = self.V[items]
-        dots = np.einsum("ij,ij->i", us, vs)
-        if self.mode == "dot":
-            return dots
-        return cosine(dots, np.einsum("ij,ij->i", us, us), np.einsum("ij,ij->i", vs, vs))[0]
+        their cosine in cosine mode.  The pairs are scored in blocks of about
+        CHUNK_BYTES of gathered rows; each score is the same per-row reduction
+        as in one gather of all N pairs, bit for bit."""
+        if len(users) != len(items):
+            raise ValueError(f"{len(users)} users but {len(items)} items")
+        n_pairs = len(users)
+        scores = np.empty(n_pairs, dtype=np.float64)
+        rows = max(2, CHUNK_BYTES // (8 * self.k))
+        start = 0
+        while start < n_pairs:
+            # A lone last row joins the block before it: einsum sums one row of
+            # more than 8,192 entries in another order than a row among others.
+            stop = n_pairs if n_pairs - start <= rows + 1 else start + rows
+            block = slice(start, stop)
+            start = stop
+            us = self.U[users[block]]
+            vs = self.V[items[block]]
+            dots = np.einsum("ij,ij->i", us, vs)
+            if self.mode == "dot":
+                scores[block] = dots
+            else:
+                scores[block] = cosine(dots, np.einsum("ij,ij->i", us, us),
+                                       np.einsum("ij,ij->i", vs, vs))[0]
+        return scores
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i (mode-dependent)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pbmf.model import (
+    CHUNK_BYTES,
     NORM_EPSILON,
     FactorModel,
     ModelCorruptionError,
@@ -49,6 +50,48 @@ class TestInitModel:
         for scale in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 init_model(1, 1, 1, seed=0, scale=scale)
+
+
+def _unblocked_pair_scores(model, users, items):
+    """Every pair scored from one gather of all N rows of U and of V."""
+    us, vs = model.U[users], model.V[items]
+    dots = np.einsum("ij,ij->i", us, vs)
+    if model.mode == "dot":
+        return dots
+    norms = np.sqrt(np.einsum("ij,ij->i", us, us)) * np.sqrt(np.einsum("ij,ij->i", vs, vs))
+    return dots / np.maximum(norms, NORM_EPSILON)
+
+
+# k = 1, 8, 32 and a k whose single row of U is larger than CHUNK_BYTES.
+BLOCK_KS = [1, 8, 32, CHUNK_BYTES // 8 + 1]
+
+
+def _block_sizes(k):
+    """N = 0, 1, an exact multiple of the block rows and one row past that."""
+    rows = max(2, CHUNK_BYTES // (8 * k))
+    return [0, 1, 2 * rows, 2 * rows + 1]
+
+
+class TestPairScoreBlocks:
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    @pytest.mark.parametrize("k, n_pairs", [(k, n_pairs) for k in BLOCK_KS
+                                            for n_pairs in _block_sizes(k)])
+    def test_equals_unblocked_gather_bit_for_bit(self, mode, k, n_pairs):
+        rng = np.random.default_rng(k * 31 + n_pairs)
+        U = rng.normal(size=(6, k))
+        V = rng.normal(size=(5, k))
+        U[0] = 0.0  # a zero-norm row meets the NORM_EPSILON floor
+        model = FactorModel(U=U, V=V, mode=mode)
+        users = rng.integers(0, 6, n_pairs)
+        items = rng.integers(0, 5, n_pairs)
+        got = model.pair_scores(users, items)
+        assert got.dtype == np.float64 and got.shape == (n_pairs,)
+        assert np.array_equal(got, _unblocked_pair_scores(model, users, items))
+
+    def test_rejects_unequal_lengths(self):
+        model = init_model(3, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="3 users but 2 items"):
+            model.pair_scores(np.array([0, 1, 2]), np.array([0, 1]))
 
 
 def _model_from_rows(u_row, v_row, mode="cosine", r_max=5.0):

@@ -99,3 +99,62 @@ def test_option_string_is_not_taken_for_a_value(capsys):
         cli.main(["train", *REQUIRED["train"], "--beta", "--k", "3"])
     assert exc.value.code == 2
     assert "argument --beta: expected one argument" in capsys.readouterr().err
+
+
+def _shortest_unique_prefix(command, flag):
+    """The shortest abbreviation of `flag` that argparse resolves to it alone."""
+    option_strings = [s for action in SUBS[command]._actions for s in action.option_strings]
+    for end in range(3, len(flag)):
+        if sum(s.startswith(flag[:end]) for s in option_strings) == 1:
+            return flag[:end]
+    return None
+
+
+ABBREVIATED = [(command, flag, _shortest_unique_prefix(command, flag))
+               for command, flag, _, _ in FLAGS
+               if _shortest_unique_prefix(command, flag) is not None]
+
+
+@pytest.mark.parametrize("command, flag, prefix", ABBREVIATED,
+                         ids=[f"{command}{prefix}" for command, _, prefix in ABBREVIATED])
+def test_abbreviated_flag_with_spaced_negative_gets_the_range_error(command, flag, prefix,
+                                                                   capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED[command], prefix, "-inf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected " in err and "got '-inf'" in err, err
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--be"])
+@pytest.mark.parametrize("text, bad", [("-1,0.5", "-1"), ("-inf,1", "-inf"), ("0.5,-1e-3", "-1e-3")])
+def test_spaced_beta_list_starting_with_minus_gets_the_range_error(flag, text, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["benchmark", *REQUIRED["benchmark"], flag, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --beta: expected a number >= 0, got {bad!r}" in err, err
+
+
+@pytest.mark.parametrize("flag", ["--be", "--beta"])
+@pytest.mark.parametrize("text", ["-1,--k", "-1,"])
+def test_list_with_a_non_number_part_is_not_taken_for_a_value(flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["benchmark", *REQUIRED["benchmark"], flag, text])
+    assert exc.value.code == 2
+    assert "argument --beta: expected one argument" in capsys.readouterr().err
+
+
+def test_abbreviated_option_string_is_not_taken_for_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", *REQUIRED["train"], "--be", "--k", "3"])
+    assert exc.value.code == 2
+    assert "argument --beta: expected one argument" in capsys.readouterr().err
+
+
+def test_ambiguous_abbreviation_is_not_joined(capsys):
+    # --h could be --help or --header; argparse names both.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["benchmark", *REQUIRED["benchmark"], "--h", "-3"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --h could match --help, --header" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,22 @@ class TestTrain:
         assert history[-1].total == pytest.approx(total, abs=1e-10)
         reported = full_loss(model, ds, beta)
         assert reported == history[-1]
+
+    def test_full_loss_memory_does_not_grow_with_rows_times_k(self):
+        # The train_flat_k32 shape: one gather of all rows would hold two
+        # 64,064 x 32 float64 copies, 32.8 MB.
+        rng = np.random.default_rng(12)
+        ds = make_dataset(rng.integers(0, 4000, 64064), rng.integers(0, 2000, 64064),
+                          rng.integers(1, 6, 64064), n=4000, m=2000)
+        model = init_model(4000, 2000, 32, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            full_loss(model, ds, beta=0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"full_loss peaked at {peak / 1e6:.1f} MB"
 
     def test_deterministic_runs(self):
         ds = small_dataset()
