@@ -121,8 +121,18 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
                    help="reference frequency in the Matthew degree: max (literal) or min (pareto)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        """Python < 3.12 stores [] for a value of "--" (`--k=--`) without calling its type."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if action.nargs is None and getattr(namespace, action.dest, None) == []:
+                self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return namespace, extras
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pbmf",
         description="Matrix-factorization recommender toolkit with a position-bias penalty.",
     )
@@ -180,10 +190,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
                    values: dict[str, str]) -> list[str]:
     """Turn the config keys that `command` takes into flag tokens for argparse to
-    check.  Keys of other subcommands are ignored; a key none takes is an error."""
-    known = {action.dest for sub in subs.values() for action in sub._actions}
-    actions = {action.dest: action for action in subs[command]._actions
-               if action.dest not in ("help", "config")}
+    check.  Keys of other subcommands are ignored; a key none takes, `help` and
+    `config` among them, is an error."""
+    known = {action.dest for sub in subs.values() for action in sub._actions} - {"help", "config"}
+    actions = {action.dest: action for action in subs[command]._actions if action.dest in known}
     tokens: list[str] = []
     for key, raw in values.items():
         action = actions.get(key)

@@ -12,28 +12,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-
-class RatingsParseError(ValueError):
-    """A rating value could not be parsed; the message names the line."""
-
-
-class SchemaError(ValueError):
-    """A data row cannot be parsed or is missing one of the requested columns."""
-
-
-class EmptyDatasetError(ValueError):
-    """A rating source produced no valid interactions."""
-
-
-class SplitError(ValueError):
-    """A train/test split left one side empty."""
 
 
 @dataclass(frozen=True)
@@ -92,13 +76,9 @@ def _checked_rating(text: str, source: str, lineno: int) -> float:
             raise ValueError(text)
         rating = float(text)
     except ValueError:
-        raise RatingsParseError(
-            f"{source}:{lineno}: rating {text!r} is not a number"
-        ) from None
+        raise ValueError(f"{source}:{lineno}: rating {text!r} is not a number") from None
     if not math.isfinite(rating) or rating <= 0:
-        raise RatingsParseError(
-            f"{source}:{lineno}: rating must be finite and > 0, got {rating}"
-        )
+        raise ValueError(f"{source}:{lineno}: rating must be finite and > 0, got {rating}")
     return rating
 
 
@@ -113,7 +93,7 @@ def _build_dataset(
     walking the pairs numbers the ids in the order the file shows them.
     """
     if not by_pair:
-        raise EmptyDatasetError(f"{source}: no valid interactions found")
+        raise ValueError(f"{source}: no valid interactions found")
     if rows > len(by_pair):
         logger.warning(
             "%s: kept the last rating for %d duplicated (user, item) pair(s)",
@@ -147,7 +127,7 @@ def load_movielens(path: str | Path) -> RatingsDataset:
     in :func:`load_csv`.  Lines that do not split into four `::` fields, or
     whose user or item id is empty, are counted as malformed and reported
     via logging.  A line with the right shape but a non-numeric (or
-    non-positive) rating raises :class:`RatingsParseError` naming the line
+    non-positive) rating raises :class:`ValueError` naming the line
     number; text that is not UTF-8 raises it naming the file alone.
     """
     source = str(Path(path))
@@ -167,7 +147,7 @@ def load_movielens(path: str | Path) -> RatingsDataset:
                 by_pair[ids] = _checked_rating(fields[2], source, lineno)
                 rows += 1
     except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
-        raise RatingsParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
+        raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if malformed:
         logger.warning("%s: skipped %d malformed line(s)", source, malformed)
     return _build_dataset(by_pair, rows, source)
@@ -183,11 +163,11 @@ def load_csv(
 ) -> RatingsDataset:
     """Load a delimited rating file, ignoring any extra (context) columns.
 
-    Raises :class:`ValueError` for a negative column index and
-    :class:`SchemaError` if a data row is shorter than the requested
-    columns or has an empty user or item id, the csv module cannot parse
-    it or the file is not UTF-8.  Duplicate (user, item) pairs keep the
-    last occurrence.
+    Raises :class:`ValueError` for a negative column index; naming
+    `path:line` for a data row shorter than the requested columns, with an
+    empty user or item id or that the csv module cannot parse; and naming
+    the file for text that is not UTF-8.  Duplicate (user, item) pairs keep
+    the last occurrence.
     """
     if min(user_col, item_col, rating_col) < 0:
         raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
@@ -204,32 +184,24 @@ def load_csv(
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) < needed:
-                    raise SchemaError(
+                    raise ValueError(
                         f"{source}:{rowno}: expected at least {needed} columns, found {len(row)}"
                     )
                 user_id, item_id = row[user_col].strip(), row[item_col].strip()
                 if not user_id or not item_id:
-                    raise SchemaError(f"{source}:{rowno}: empty user or item id")
+                    raise ValueError(f"{source}:{rowno}: empty user or item id")
                 by_pair[user_id, item_id] = _checked_rating(row[rating_col].strip(), source, rowno)
                 rows += 1
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise SchemaError(f"{source}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{source}: not UTF-8 text ({exc.reason})") from None
+            raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
     return _build_dataset(by_pair, rows, source)
 
 
 def _subset(dataset: RatingsDataset, mask: np.ndarray) -> RatingsDataset:
-    return RatingsDataset(
-        users=dataset.users[mask].copy(),
-        items=dataset.items[mask].copy(),
-        ratings=dataset.ratings[mask].copy(),
-        n=dataset.n,
-        m=dataset.m,
-        r_max=dataset.r_max,
-        user_map=dataset.user_map,
-        item_map=dataset.item_map,
-    )
+    return replace(dataset, users=dataset.users[mask], items=dataset.items[mask],
+                   ratings=dataset.ratings[mask])
 
 
 def split(
@@ -243,11 +215,11 @@ def split(
     for them.
     """
     if len(dataset) == 0:
-        raise EmptyDatasetError("cannot split an empty dataset")
+        raise ValueError("cannot split an empty dataset")
     rng = np.random.default_rng(spec.seed)
     test_mask = rng.random(len(dataset)) < spec.test_fraction
     if test_mask.all() or not test_mask.any():
-        raise SplitError(
+        raise ValueError(
             f"test_fraction={spec.test_fraction} left an empty split for "
             f"{len(dataset)} interactions"
         )
@@ -262,5 +234,5 @@ def split(
         )
         test = _subset(test, keep)
     if len(test) == 0:
-        raise SplitError("no test interactions left after dropping unseen users/items")
+        raise ValueError("no test interactions left after dropping unseen users/items")
     return train, test

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmptyDatasetError, RatingsDataset
+from .data import RatingsDataset
 from .model import TopKLists, top_k
 
 # Column order of the benchmark report CSV.  k/epochs/seed describe the
@@ -53,7 +53,7 @@ class MetricsReport:
 def mae(scorer, test: RatingsDataset) -> float:
     """Mean absolute error of rating-scale predictions over the test set."""
     if len(test) == 0:
-        raise EmptyDatasetError("cannot compute MAE on an empty test set")
+        raise ValueError("cannot compute MAE on an empty test set")
     preds = np.asarray(scorer.predicted_ratings(test.users, test.items), dtype=np.float64)
     return float(np.mean(np.abs(preds - test.ratings)))
 
@@ -65,7 +65,7 @@ def position_bias_metric(scorer, test: RatingsDataset, m: int) -> float:
     of a recommender whose scores carry no position bias at all.
     """
     if len(test) == 0:
-        raise EmptyDatasetError("cannot compute the position-bias metric on an empty test set")
+        raise ValueError("cannot compute the position-bias metric on an empty test set")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     scores = np.asarray(scorer.normalized_scores(test.users, test.items), dtype=np.float64)

@@ -32,14 +32,6 @@ def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.nda
     return dots / denom, denom
 
 
-class ModelFormatError(ValueError):
-    """The file is not a factor-model file (bad magic or unknown version)."""
-
-
-class ModelCorruptionError(ValueError):
-    """The file is a factor-model file but its payload is inconsistent."""
-
-
 @dataclass
 class FactorModel:
     """User factors U (n x k) and item factors V (m x k) plus a prediction mode.
@@ -228,33 +220,33 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> FactorModel:
     """Read a model written by :func:`save_model`.
 
-    Raises :class:`ModelFormatError` for a file of another kind or version
-    and :class:`ModelCorruptionError` for an inconsistent payload, including
-    non-finite factors and an `r_max` that is not a finite positive number.
+    Raises :class:`ValueError` naming the file for a file of another kind
+    or version and for an inconsistent payload, including non-finite
+    factors and an `r_max` that is not a finite positive number.
     """
     blob = Path(path).read_bytes()
     if len(blob) >= len(MAGIC) and blob[: len(MAGIC)] != MAGIC:
-        raise ModelFormatError(f"{path}: not a factor-model file (bad magic)")
+        raise ValueError(f"{path}: not a factor-model file (bad magic)")
     if len(blob) < _HEADER.size:
-        raise ModelCorruptionError(f"{path}: truncated header")
+        raise ValueError(f"{path}: truncated header")
     _, version, n, m, k, mode_code, r_max = _HEADER.unpack_from(blob)
     if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format version {version}")
+        raise ValueError(f"{path}: unsupported format version {version}")
     if mode_code not in _MODE_NAMES:
-        raise ModelFormatError(f"{path}: unknown prediction mode code {mode_code}")
+        raise ValueError(f"{path}: unknown prediction mode code {mode_code}")
     if n < 1 or m < 1 or k < 1:
-        raise ModelCorruptionError(f"{path}: impossible dimensions ({n}, {m}, {k})")
+        raise ValueError(f"{path}: impossible dimensions ({n}, {m}, {k})")
     if not (math.isfinite(r_max) and r_max > 0):
-        raise ModelCorruptionError(f"{path}: r_max must be finite and > 0, got {r_max}")
+        raise ValueError(f"{path}: r_max must be finite and > 0, got {r_max}")
     expected = _HEADER.size + (n * k + m * k) * 8
     if len(blob) != expected:
-        raise ModelCorruptionError(
+        raise ValueError(
             f"{path}: payload does not match header dimensions "
             f"(expected {expected} bytes, found {len(blob)})"
         )
     flat = np.frombuffer(blob, dtype="<f8", count=n * k + m * k, offset=_HEADER.size)
     if not np.isfinite(flat).all():
-        raise ModelCorruptionError(f"{path}: factor matrices hold non-finite values")
+        raise ValueError(f"{path}: factor matrices hold non-finite values")
     U = flat[: n * k].reshape(n, k).astype(np.float64)
     V = flat[n * k :].reshape(m, k).astype(np.float64)
     return FactorModel(U=U, V=V, mode=_MODE_NAMES[mode_code], r_max=r_max)

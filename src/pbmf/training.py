@@ -30,14 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EmptyDatasetError, RatingsDataset
+from .data import RatingsDataset
 from .model import NORM_EPSILON, FactorModel, cosine, init_model
 
 ALGORITHMS = ("classic_mf", "cosine_mf", "position_bias_mf")
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,11 @@ def train(
     Every epoch visits each interaction once, in a fresh seeded shuffled
     order, and applies u <- u - lr * grad_u, v <- v - lr * grad_v,
     with both gradients evaluated at the pre-update values.  The run is
-    bit-deterministic for a fixed (dataset, config).
+    bit-deterministic for a fixed (dataset, config).  A non-finite epoch
+    loss raises :class:`RuntimeError`.
     """
     if len(dataset) == 0:
-        raise EmptyDatasetError("cannot train on an empty dataset")
+        raise ValueError("cannot train on an empty dataset")
     mode = "dot" if config.algorithm == "classic_mf" else "cosine"
     beta = config.beta if config.algorithm == "position_bias_mf" else 0.0
     model = init_model(dataset.n, dataset.m, config.k, seed=config.seed,
@@ -177,7 +174,7 @@ def train(
                 V[j] -= lr * grad_v
             losses = full_loss(model, dataset, beta)
         if not math.isfinite(losses.total):
-            raise DivergenceError(
+            raise RuntimeError(
                 f"training diverged at epoch {epoch}: non-finite loss; "
                 f"try a learning_rate smaller than {lr}"
             )

@@ -2,6 +2,7 @@ import csv
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -447,20 +448,25 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_key_is_usage_error(self, ratings_file, tmp_path, capsys, monkeypatch):
+    # `config` and `help` are flags, but no config key sets them.
+    @pytest.mark.parametrize("key, value", [("epoch", "5"), ("config", "other.cfg"),
+                                            ("help", "yes")])
+    def test_unknown_key_is_usage_error(self, key, value, ratings_file, tmp_path, capsys,
+                                        monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("trained with a misspelt config key")
 
         monkeypatch.setattr("pbmf.training.train", no_training)
+        monkeypatch.setattr("pbmf.data.load_movielens", no_training)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("algorithms = cosine_mf\nepoch = 5\n")
+        cfg.write_text(f"algorithms = cosine_mf\n{key} = {value}\n")
         out = tmp_path / "results.csv"
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--input", str(ratings_file), "--config", str(cfg),
                   "--output", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown config key 'epoch'" in err
+        assert f"unknown config key '{key}'" in err
         assert not out.exists()
 
     def test_other_subcommand_key_ignored(self, ratings_file, tmp_path):
@@ -524,6 +530,82 @@ def test_non_utf8_file_fails_cleanly(reader, content, flags, code, ratings_file,
     if code == 1:
         assert result.stderr.count("\n") == 1
     assert not (tmp_path / "m.pbmf").exists()
+
+
+# A model file's header is 38 bytes: magic (0-3), version (4), n, m and k
+# (5-28), the mode byte (29) and r_max (30-37); the factors follow it.
+def _nan_first_factor(blob):
+    return blob[:38] + struct.pack("<d", float("nan")) + blob[46:]
+
+
+# What the user sees for each bad input: the exit code and the last stderr
+# line, or for `benchmark` the row's error cell.  `bad` is the bytes of a bad
+# rating file, or for `evaluate` a function spoiling a valid model file's
+# bytes; `{path}` is that file and `{size}` the valid model's length.
+DIVERGING = ["--algorithm", "classic_mf", "--lr", "10", "--k", "8", "--epochs", "3"]
+DIVERGED = ("error: training diverged at epoch 1: non-finite loss; "
+            "try a learning_rate smaller than 10.0")
+ERROR_CATALOGUE = {
+    "bad_rating": ("train", b"1::10::5::0\n1::20::abc::0\n", [],
+                   "error: {path}:2: rating 'abc' is not a number"),
+    "no_valid_rows": ("train", b"not a line\n1::2::3\n", [],
+                      "error: {path}: no valid interactions found"),
+    "short_csv_row": ("train", b"1,1,5\n2,2\n", ["--format", "csv"],
+                      "error: {path}:2: expected at least 3 columns, found 2"),
+    "empty_csv_id": ("train", b"1,1,5\n ,2,4\n", ["--format", "csv"],
+                     "error: {path}:2: empty user or item id"),
+    "non_utf8_movielens": ("train", b"1::1::5::0\n2::\xe9::4::0\n", [],
+                           "error: {path}: not UTF-8 text (invalid continuation byte)"),
+    "non_utf8_csv": ("train", b"1,1,5\n2,\xe9,4\n", ["--format", "csv"],
+                     "error: {path}: not UTF-8 text (invalid continuation byte)"),
+    "empty_split": ("train", b"1::1::5::0\n", [],
+                    "error: test_fraction=0.2 left an empty split for 1 interactions"),
+    "diverged_train": ("train", None, DIVERGING, DIVERGED),
+    "diverged_benchmark": ("benchmark", None, DIVERGING[2:] + ["--algorithms", "classic_mf"],
+                           DIVERGED[len("error: "):]),
+    "model_bad_magic": ("evaluate", lambda blob: b"NOPE" + blob[4:], [],
+                        "error: {path}: not a factor-model file (bad magic)"),
+    "model_truncated_header": ("evaluate", lambda blob: blob[:20], [],
+                               "error: {path}: truncated header"),
+    "model_unknown_version": ("evaluate", lambda blob: blob[:4] + b"\x63" + blob[5:], [],
+                              "error: {path}: unsupported format version 99"),
+    "model_unknown_mode": ("evaluate", lambda blob: blob[:29] + b"\x07" + blob[30:], [],
+                           "error: {path}: unknown prediction mode code 7"),
+    "model_trailing_bytes": ("evaluate", lambda blob: blob + bytes(8), [],
+                             "error: {path}: payload does not match header dimensions "
+                             "(expected {size} bytes, found {size_plus_8})"),
+    "model_nan_factor": ("evaluate", _nan_first_factor, [],
+                         "error: {path}: factor matrices hold non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CATALOGUE))
+def test_error_catalogue(case, ratings_file, tmp_path, capsys):
+    command, bad, flags, line = ERROR_CATALOGUE[case]
+    path = tmp_path / f"bad_{case}"
+    out = tmp_path / "out.csv"
+    size = 0
+    if command == "evaluate":
+        ds = load_movielens(ratings_file)
+        save_model(init_model(ds.n, ds.m, 4, seed=0, r_max=ds.r_max), path)
+        valid = path.read_bytes()
+        size = len(valid)
+        path.write_bytes(bad(valid))
+        argv = ["evaluate", "--input", str(ratings_file), "--model", str(path)]
+    else:
+        if bad is not None:
+            path.write_bytes(bad)
+        argv = [command, "--input", str(path if bad is not None else ratings_file)]
+        if command == "train":
+            argv += ["--algorithm", "cosine_mf"]
+    code = main(argv + flags + ["--output", str(out)])
+    err = capsys.readouterr().err
+    expected = line.format(path=path, size=size, size_plus_8=size + 8)
+    assert code == 1
+    if command == "benchmark":
+        assert [row["error"] for row in read_csv_rows(out)] == [expected]
+    else:
+        assert err.splitlines()[-1] == expected
 
 
 def test_stdout_matches_output_file(ratings_file, tmp_path, capsys):

@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from pbmf.data import (
-    EmptyDatasetError,
-    RatingsParseError,
-    SchemaError,
-    SplitError,
     SplitSpec,
     load_csv,
     load_movielens,
@@ -57,13 +53,13 @@ class TestLoadMovielens:
     def test_non_numeric_rating_names_line(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("1::10::5::1\n1::20::abc::2\n")
-        with pytest.raises(RatingsParseError, match=r":2:"):
+        with pytest.raises(ValueError, match=r"bad\.dat:2: rating 'abc' is not a number"):
             load_movielens(path)
 
     def test_nonpositive_rating_rejected(self, tmp_path):
         path = tmp_path / "zero.dat"
         path.write_text("1::10::0::1\n")
-        with pytest.raises(RatingsParseError, match=r":1:"):
+        with pytest.raises(ValueError, match=r"zero\.dat:1: rating must be finite and > 0, got 0\.0"):
             load_movielens(path)
 
     def test_missing_file(self, tmp_path):
@@ -73,7 +69,7 @@ class TestLoadMovielens:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.dat"
         path.write_text("\n\n")
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ValueError, match=r"empty\.dat: no valid interactions found"):
             load_movielens(path)
 
     def test_reload_is_identical(self, tmp_path):
@@ -113,7 +109,7 @@ class TestLoadMovielens:
         # float("4_5") is 45.0, which would also make r_max 45.
         path = tmp_path / "sep.dat"
         path.write_text("1::10::5::1\n1::20::4_5::2\n")
-        with pytest.raises(RatingsParseError, match=r"sep\.dat:2: rating '4_5' is not a number"):
+        with pytest.raises(ValueError, match=r"sep\.dat:2: rating '4_5' is not a number"):
             load_movielens(path)
 
 
@@ -138,13 +134,13 @@ class TestLoadCsv:
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("u1,i1,3\nu2,i2\n")
-        with pytest.raises(SchemaError, match=r":2:"):
+        with pytest.raises(ValueError, match=r"short\.csv:2: expected at least 3 columns, found 2"):
             load_csv(path)
 
     def test_oversized_field_is_schema_error(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("u1,i1,3\nu2," + "x" * 200_000 + ",4\n")
-        with pytest.raises(SchemaError, match=r"big\.csv:2: field larger than field limit"):
+        with pytest.raises(ValueError, match=r"big\.csv:2: field larger than field limit"):
             load_csv(path)
 
     @pytest.mark.parametrize("cols", [
@@ -179,13 +175,13 @@ class TestLoadCsv:
     def test_empty_id_is_schema_error(self, tmp_path, row):
         path = tmp_path / "empty_id.csv"
         path.write_text(f"1,1,4\n{row}\n")
-        with pytest.raises(SchemaError, match=r"empty_id\.csv:2: empty user or item id"):
+        with pytest.raises(ValueError, match=r"empty_id\.csv:2: empty user or item id"):
             load_csv(path)
 
     def test_digit_separator_rating_rejected(self, tmp_path):
         path = tmp_path / "sep.csv"
         path.write_text("u1,i1,5\nu1,i2,1_0.5\n")
-        with pytest.raises(RatingsParseError, match=r"sep\.csv:2: rating '1_0.5' is not a number"):
+        with pytest.raises(ValueError, match=r"sep\.csv:2: rating '1_0.5' is not a number"):
             load_csv(path)
 
 
@@ -264,7 +260,8 @@ class TestSplit:
         assert hit, "no seed in range exercised the drop path"
 
     def test_empty_side_raises(self, toy_dataset):
-        with pytest.raises(SplitError):
+        with pytest.raises(ValueError, match=r"test_fraction=1e-09 left an empty split "
+                                             r"for 10 interactions"):
             split(toy_dataset, SplitSpec(test_fraction=1e-9, seed=0))
 
     def test_spec_validation(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pbmf.baselines import ZipfScorer
-from pbmf.data import EmptyDatasetError
 from pbmf.metrics import (
     MetricsReport,
     REPORT_COLUMNS,
@@ -100,7 +99,7 @@ class TestMae:
 
     def test_empty_test_rejected(self):
         empty = make_dataset([], [], [], n=1, m=1)
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ValueError, match=r"cannot compute MAE on an empty test set"):
             mae(ConstantScorer(0.5), empty)
 
 

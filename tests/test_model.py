@@ -7,8 +7,6 @@ from pbmf.model import (
     CHUNK_BYTES,
     NORM_EPSILON,
     FactorModel,
-    ModelCorruptionError,
-    ModelFormatError,
     init_model,
     load_model,
     save_model,
@@ -273,7 +271,7 @@ class TestPersistence:
         save_model(model, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
-        with pytest.raises(ModelCorruptionError):
+        with pytest.raises(ValueError, match=r"payload does not match header dimensions"):
             load_model(path)
 
     def test_trailing_garbage_is_corruption(self, tmp_path):
@@ -281,7 +279,7 @@ class TestPersistence:
         path = tmp_path / "model.pbmf"
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(ModelCorruptionError):
+        with pytest.raises(ValueError, match=r"payload does not match header dimensions"):
             load_model(path)
 
     @pytest.mark.parametrize("spoil", ["nan_factor", "inf_factor", "zero_r_max", "nan_r_max"])
@@ -295,7 +293,9 @@ class TestPersistence:
             model.r_max = 0.0 if spoil == "zero_r_max" else np.nan
         path = tmp_path / "model.pbmf"
         save_model(model, path)
-        with pytest.raises(ModelCorruptionError):
+        message = ("r_max must be finite and > 0" if spoil.endswith("r_max")
+                   else "factor matrices hold non-finite values")
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_wrong_magic_is_format_error(self, tmp_path):
@@ -305,7 +305,7 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ValueError, match=r"not a factor-model file \(bad magic\)"):
             load_model(path)
 
     def test_unknown_version_is_format_error(self, tmp_path):
@@ -315,5 +315,5 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ValueError, match=r"unsupported format version 99"):
             load_model(path)

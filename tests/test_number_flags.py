@@ -55,7 +55,9 @@ def test_every_flag_type_is_classified():
 @given(text=TEXTS)
 # Always tried, whatever is drawn: the non-finite floats, an int too large
 # to become a float, and PEP 515 digit separators, which int() and float()
-# read ("3_2" as 32, "0_1" as 1.0) but a plain decimal number never has.
+# read ("3_2" as 32, "0_1" as 1.0) but a plain decimal number never has.  And
+# "--", which argparse before Python 3.12 drops, storing [] for the flag.
+@example(text="--")
 @example(text="nan")
 @example(text="inf")
 @example(text="-inf")
