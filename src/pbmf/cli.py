@@ -50,17 +50,20 @@ _nonneg_float = _number(float, lambda v: v >= 0, "a number >= 0")
 _fraction = _number(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 
 
-def _beta_list(text: str) -> list[float]:
+def _list_parts(text: str, what: str) -> list[str]:
+    """The stripped parts of a comma-separated list, blank ones dropped; at least one."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise argparse.ArgumentTypeError("beta list must not be empty")
-    return [_nonneg_float(p) for p in parts]
+        raise argparse.ArgumentTypeError(f"{what} list must not be empty")
+    return parts
+
+
+def _beta_list(text: str) -> list[float]:
+    return [_nonneg_float(p) for p in _list_parts(text, "beta")]
 
 
 def _algorithm_list(text: str) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("algorithm list must not be empty")
+    names = _list_parts(text, "algorithm")
     for name in names:
         if name not in BENCHMARK_ALGORITHMS:
             raise argparse.ArgumentTypeError(
@@ -210,11 +213,11 @@ def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
 
 
 def _reads_as_numbers(token: str) -> bool:
-    """Whether float() reads every comma-separated part of `token`."""
+    """Whether float() reads every part of `token`, split as a list flag splits it."""
     try:
-        for part in token.split(","):
+        for part in _list_parts(token, "number"):
             float(part)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         return False
     return True
 
@@ -281,21 +284,6 @@ def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
     return baselines.ZipfScorer.from_dataset(train_set)
 
 
-def _report_row(args: argparse.Namespace, scorer: object, train_set: data.RatingsDataset,
-                test_set: data.RatingsDataset, algorithm: str, beta: float, k: int,
-                epochs: int) -> list[str]:
-    report = metrics.evaluate_all(
-        scorer,
-        train_set,
-        test_set,
-        k_top=args.k_top,
-        matthew_variant=args.matthew_variant,
-        algorithm=algorithm,
-        beta=beta,
-    )
-    return metrics.report_row(report, k=k, epochs=epochs, seed=args.seed)
-
-
 def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> None:
     """Write the table to `output`, or to stdout (left open) when there is none."""
     with (open(output, "w", encoding="utf-8", newline="") if output
@@ -327,8 +315,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"model {args.model} has {model.n} users x {model.m} items, "
             f"but {args.input} has {train_set.n} users x {train_set.m} items"
         )
-    row = _report_row(args, model, train_set, test_set, args.label, 0.0, model.k, 0)
-    _write_csv(args.output, metrics.REPORT_COLUMNS, [row])
+    report = metrics.evaluate_all(model, train_set, test_set, args.k_top, args.matthew_variant,
+                                  algorithm=args.label, k=model.k, seed=args.seed)
+    _write_csv(args.output, metrics.REPORT_COLUMNS, [metrics.report_row(report)])
     return 0
 
 
@@ -342,16 +331,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         k_used, epochs_used = ((args.k, args.epochs) if algorithm in training.ALGORITHMS
                                else (0, 0))
         for beta in args.beta if algorithm == "position_bias_mf" else [0.0]:
+            run = dict(algorithm=algorithm, beta=beta, k=k_used, epochs=epochs_used, seed=args.seed)
             try:
                 scorer = _make_scorer(algorithm, beta, train_set, args)
-                rows.append(_report_row(args, scorer, train_set, test_set, algorithm, beta,
-                                        k_used, epochs_used) + [""])
+                report = metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
+                                              args.matthew_variant, **run)
+                rows.append(metrics.report_row(report) + [""])
             except (ValueError, RuntimeError, MemoryError) as exc:
                 had_error = True
-                rows.append(
-                    [algorithm, metrics.format_value(beta), str(k_used), str(epochs_used),
-                     str(args.seed), str(args.k_top), "", "", "", "", str(exc)]
-                )
+                failed = metrics.MetricsReport(**run, k_top=args.k_top)
+                rows.append(metrics.report_row(failed) + [str(exc)])
     _write_csv(args.output, metrics.REPORT_COLUMNS + ["error"], rows)
     return 1 if had_error else 0
 

@@ -184,13 +184,13 @@ def load_csv(
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) < needed:
-                    raise ValueError(
-                        f"{source}:{rowno}: expected at least {needed} columns, found {len(row)}"
-                    )
+                    raise ValueError(f"{source}:{reader.line_num}: expected at least "
+                                     f"{needed} columns, found {len(row)}")
                 user_id, item_id = row[user_col].strip(), row[item_col].strip()
                 if not user_id or not item_id:
-                    raise ValueError(f"{source}:{rowno}: empty user or item id")
-                by_pair[user_id, item_id] = _checked_rating(row[rating_col].strip(), source, rowno)
+                    raise ValueError(f"{source}:{reader.line_num}: empty user or item id")
+                by_pair[user_id, item_id] = _checked_rating(row[rating_col].strip(), source,
+                                                           reader.line_num)
                 rows += 1
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise ValueError(f"{source}:{reader.line_num}: {exc}") from None

@@ -12,42 +12,35 @@ Trained factor models and the baselines all satisfy this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .data import RatingsDataset
 from .model import TopKLists, top_k
 
-# Column order of the benchmark report CSV.  k/epochs/seed describe the
-# training run that produced the scorer (0 when nothing was trained).
-REPORT_COLUMNS = [
-    "algorithm",
-    "beta",
-    "k",
-    "epochs",
-    "seed",
-    "k_top",
-    "mae",
-    "matthew_degree",
-    "position_bias",
-    "test_size",
-]
-
 MATTHEW_VARIANTS = ("literal", "pareto")
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """All three metrics for one algorithm run."""
+    """One report CSV row, fields in column order.  k/epochs/seed describe the
+    training run (0 when nothing was trained); the four measured fields stay
+    None for a run that failed."""
 
     algorithm: str
     beta: float
-    mae: float
-    matthew_degree: float  # math.inf when all list frequencies are equal
-    position_bias: float
+    k: int
+    epochs: int
+    seed: int
     k_top: int
-    test_size: int
+    mae: float | None = None
+    matthew_degree: float | None = None  # math.inf when all list frequencies are equal
+    position_bias: float | None = None
+    test_size: int | None = None
+
+
+REPORT_COLUMNS = [f.name for f in fields(MetricsReport)]
 
 
 def mae(scorer, test: RatingsDataset) -> float:
@@ -108,8 +101,11 @@ def evaluate_all(
     *,
     algorithm: str,
     beta: float = 0.0,
+    k: int = 0,
+    epochs: int = 0,
+    seed: int = 0,
 ) -> MetricsReport:
-    """All three metrics for one scorer.
+    """All three metrics for one scorer, in the report row of its run.
 
     Top-k lists for the Matthew degree are built over all m items with each
     user's training items excluded.
@@ -118,10 +114,13 @@ def evaluate_all(
     return MetricsReport(
         algorithm=algorithm,
         beta=beta,
+        k=k,
+        epochs=epochs,
+        seed=seed,
+        k_top=k_top,
         mae=mae(scorer, test),
         matthew_degree=matthew_degree(lists, matthew_variant),
         position_bias=position_bias_metric(scorer, test, train.m),
-        k_top=k_top,
         test_size=len(test),
     )
 
@@ -133,17 +132,7 @@ def format_value(x: float) -> str:
     return f"{x:.6g}"
 
 
-def report_row(report: MetricsReport, k: int = 0, epochs: int = 0, seed: int = 0) -> list[str]:
-    """One CSV row in REPORT_COLUMNS order."""
-    return [
-        report.algorithm,
-        format_value(report.beta),
-        str(k),
-        str(epochs),
-        str(seed),
-        str(report.k_top),
-        format_value(report.mae),
-        format_value(report.matthew_degree),
-        format_value(report.position_bias),
-        str(report.test_size),
-    ]
+def report_row(report: MetricsReport) -> list[str]:
+    """One CSV row in REPORT_COLUMNS order; an unmeasured field is an empty cell."""
+    return ["" if value is None else format_value(value) if isinstance(value, float)
+            else str(value) for value in astuple(report)]

@@ -12,8 +12,9 @@ import pytest
 
 from pbmf.cli import build_parser, main
 from pbmf.data import SplitSpec, load_movielens, split
-from pbmf.metrics import REPORT_COLUMNS, evaluate_all, format_value
-from pbmf.model import init_model, load_model, save_model
+from pbmf.metrics import (REPORT_COLUMNS, evaluate_all, format_value, mae, matthew_degree,
+                          position_bias_metric)
+from pbmf.model import init_model, load_model, save_model, top_k
 from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
 from pbmf.training import TrainConfig, train
 
@@ -361,6 +362,40 @@ class TestBenchmarkCommand:
         ]) == 0
         sizes = {r["test_size"] for r in read_csv_rows(out)}
         assert len(sizes) == 1
+
+
+def test_report_rows_cell_by_cell(ratings_file, tmp_path):
+    """The report layout, pinned cell by cell: perfbench/reference.json
+    relies on this column order, and a failed run keeps its six settings."""
+    assert REPORT_COLUMNS == ["algorithm", "beta", "k", "epochs", "seed", "k_top",
+                              "mae", "matthew_degree", "position_bias", "test_size"]
+
+    out = tmp_path / "results.csv"
+    assert main(["benchmark", "--input", str(ratings_file), "--algorithms", "classic_mf,zipf",
+                 "--lr", "10", "--k", "8", "--epochs", "3", "--output", str(out)]) == 1
+    with open(out, newline="") as fh:
+        header, failed, _ = csv.reader(fh)
+    assert header == REPORT_COLUMNS + ["error"]
+    assert failed[:10] == ["classic_mf", "0", "8", "3", "42", "10", "", "", "", ""]
+    assert len(failed) == 11 and failed[10].startswith("training diverged at epoch")
+
+    model_path = tmp_path / "model.pbmf"
+    assert main(["train", "--input", str(ratings_file), "--algorithm", "cosine_mf",
+                 "--k", "4", "--epochs", "2", "--seed", "7", "--output", str(model_path)]) == 0
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--input", str(ratings_file), "--model", str(model_path),
+                 "--label", "mine", "--seed", "7", "--k-top", "5", "--output", str(report)]) == 0
+    with open(report, newline="") as fh:
+        header, row = csv.reader(fh)
+    train_set, test_set = split(load_movielens(ratings_file), SplitSpec(0.2, seed=7))
+    model = load_model(model_path)
+    lists = top_k(model, train_set.n, 5, exclude=train_set.items_by_user())
+    assert header == REPORT_COLUMNS
+    assert row == ["mine", "0", "4", "0", "7", "5",
+                   format_value(mae(model, test_set)),
+                   format_value(matthew_degree(lists)),
+                   format_value(position_bias_metric(model, test_set, train_set.m)),
+                   str(len(test_set))]
 
 
 class TestConfigFile:

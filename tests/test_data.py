@@ -137,6 +137,19 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"short\.csv:2: expected at least 3 columns, found 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("last, message", [
+        ("u3,i3", "expected at least 3 columns, found 2"),
+        (" ,i3,3", "empty user or item id"),
+        ("u3,i3,x", "rating 'x' is not a number"),
+    ])
+    def test_error_names_the_physical_line(self, tmp_path, last, message):
+        # The quoted id spans lines 2-3, so the bad record is the third
+        # record but sits on line 4.
+        path = tmp_path / "multi.csv"
+        path.write_text(f'u1,i1,5\n"u\n2",i2,4\n{last}\n')
+        with pytest.raises(ValueError, match=rf"multi\.csv:4: {message}"):
+            load_csv(path)
+
     def test_oversized_field_is_schema_error(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("u1,i1,3\nu2," + "x" * 200_000 + ",4\n")

@@ -232,13 +232,16 @@ class TestReportCsvRoundTrip:
         report = MetricsReport(
             algorithm="position_bias_mf",
             beta=0.1,
+            k=32,
+            epochs=20,
+            seed=42,
             mae=0.875,
             matthew_degree=math.inf,
             position_bias=0.056667,
             k_top=10,
             test_size=123,
         )
-        row = report_row(report, k=32, epochs=20, seed=42)
+        row = report_row(report)
         assert len(row) == len(REPORT_COLUMNS)
         assert dict(zip(REPORT_COLUMNS, row)) == {
             "algorithm": "position_bias_mf",

@@ -129,7 +129,8 @@ def test_abbreviated_flag_with_spaced_negative_gets_the_range_error(command, fla
 
 
 @pytest.mark.parametrize("flag", ["--beta", "--be"])
-@pytest.mark.parametrize("text, bad", [("-1,0.5", "-1"), ("-inf,1", "-inf"), ("0.5,-1e-3", "-1e-3")])
+@pytest.mark.parametrize("text, bad", [("-1,0.5", "-1"), ("-inf,1", "-inf"), ("0.5,-1e-3", "-1e-3"),
+                                       ("-1,,0.5", "-1"), ("-1,", "-1")])
 def test_spaced_beta_list_starting_with_minus_gets_the_range_error(flag, text, bad, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["benchmark", *REQUIRED["benchmark"], flag, text])
@@ -139,7 +140,7 @@ def test_spaced_beta_list_starting_with_minus_gets_the_range_error(flag, text, b
 
 
 @pytest.mark.parametrize("flag", ["--be", "--beta"])
-@pytest.mark.parametrize("text", ["-1,--k", "-1,"])
+@pytest.mark.parametrize("text", ["-1,--k"])
 def test_list_with_a_non_number_part_is_not_taken_for_a_value(flag, text, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["benchmark", *REQUIRED["benchmark"], flag, text])
