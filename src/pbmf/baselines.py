@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import RatingsDataset
+from .model import Scorer
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -32,7 +33,7 @@ def _hash_uniform(seed: int, users, items):
     return (h >> _U64(11)) * 2.0**-53
 
 
-class RandomScorer:
+class RandomScorer(Scorer):
     """Scores every (user, item) pair with an i.i.d.-style uniform value.
 
     The seed keys a 64-bit hash, so it must lie in [0, 2**64).
@@ -42,20 +43,14 @@ class RandomScorer:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         self.seed = int(seed)
-        self.n_items = int(n_items)
+        self.m = int(n_items)
         self.r_max = float(r_max)
 
-    def scores_for_user(self, i: int) -> np.ndarray:
-        return _hash_uniform(self.seed, i, np.arange(self.n_items))
-
-    def predicted_ratings(self, users, items) -> np.ndarray:
-        return _hash_uniform(self.seed, users, items) * self.r_max
-
-    def normalized_scores(self, users, items) -> np.ndarray:
+    def pair_scores(self, users, items) -> np.ndarray:
         return _hash_uniform(self.seed, users, items)
 
 
-class ZipfScorer:
+class ZipfScorer(Scorer):
     """Scores item j as 1 / popularity_rank(j), independent of the user.
 
     Rank 1 is the most-rated training item, so the score sequence over the
@@ -66,6 +61,7 @@ class ZipfScorer:
         self.r_max = float(r_max)
         self._inv_rank = 1.0 / np.asarray(popularity_rank, dtype=np.int64)
         self._inv_rank.setflags(write=False)
+        self.m = len(self._inv_rank)
 
     @classmethod
     def from_dataset(cls, dataset: RatingsDataset) -> "ZipfScorer":
@@ -76,11 +72,5 @@ class ZipfScorer:
         ranks[order] = np.arange(1, dataset.m + 1)
         return cls(ranks, dataset.r_max)
 
-    def scores_for_user(self, i: int) -> np.ndarray:
-        return self._inv_rank
-
-    def predicted_ratings(self, users, items) -> np.ndarray:
-        return self.r_max * self._inv_rank[np.asarray(items)]
-
-    def normalized_scores(self, users, items) -> np.ndarray:
+    def pair_scores(self, users, items) -> np.ndarray:
         return self._inv_rank[np.asarray(items)]

@@ -38,7 +38,7 @@ def _number(cast: type, ok: Callable[[Any], bool], expected: str) -> Callable[[s
             pass
         else:
             if "_" not in text and ok(value) and (cast is int or math.isfinite(value)):
-                return value
+                return value + 0  # -0.0 + 0 is +0.0, so "-0" writes a "0" cell
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
 
@@ -100,7 +100,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rating-col", type=_nonneg_int, default=2, help="rating column (csv format)")
     p.add_argument("--delimiter", type=_delimiter, default=",",
                    help="field delimiter (csv format); \\t for tab")
-    p.add_argument("--header", action="store_true", help="skip the first row of the csv file")
+    p.add_argument("--header", action="store_true",
+                   help="skip the first non-blank row of the csv file")
     p.add_argument("--test-fraction", type=_fraction, default=0.2,
                    help="fraction of interactions held out for testing")
     p.add_argument("--seed", type=_nonneg_int, default=42,

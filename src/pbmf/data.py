@@ -177,11 +177,13 @@ def load_csv(
     rows = 0
     with open(source, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
+        header_left = has_header
         try:
-            for rowno, row in enumerate(reader, start=1):
-                if has_header and rowno == 1:
-                    continue
+            for row in reader:
                 if not row or all(not cell.strip() for cell in row):
+                    continue
+                if header_left:  # the header is the first row that is not blank
+                    header_left = False
                     continue
                 if len(row) < needed:
                     raise ValueError(f"{source}:{reader.line_num}: expected at least "

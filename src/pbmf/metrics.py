@@ -1,13 +1,4 @@
-"""Evaluation metrics: MAE, Matthew degree, and the position-bias score.
-
-All three take a "scorer": any object exposing
-
-    predicted_ratings(users, items) -> rating-scale predictions
-    normalized_scores(users, items) -> scores on the [~0, 1] scale
-    scores_for_user(i)              -> ranking scores over all items
-
-Trained factor models and the baselines all satisfy this.
-"""
+"""Evaluation metrics of a :class:`pbmf.model.Scorer`: MAE, Matthew degree, position bias."""
 
 from __future__ import annotations
 

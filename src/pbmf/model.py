@@ -32,8 +32,23 @@ def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.nda
     return dots / denom, denom
 
 
+class Scorer:
+    """What the metrics read of a scorer, derived from the subclass's
+    `pair_scores(users, items)`, its `r_max` and its item count `m`."""
+
+    def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        return self.pair_scores(users, items)
+
+    def predicted_ratings(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Normalized scores mapped back to the rating scale [0, r_max]."""
+        return np.clip(self.normalized_scores(users, items), 0.0, 1.0) * self.r_max
+
+    def scores_for_user(self, i: int) -> np.ndarray:
+        return self.pair_scores(np.full(self.m, i), np.arange(self.m))
+
+
 @dataclass
-class FactorModel:
+class FactorModel(Scorer):
     """User factors U (n x k) and item factors V (m x k) plus a prediction mode.
 
     "dot" mode scores a pair with U_i . V_j; "cosine" mode with their
@@ -99,7 +114,8 @@ class FactorModel:
         return scores
 
     def scores_for_user(self, i: int) -> np.ndarray:
-        """Ranking score of every item for user i (mode-dependent)."""
+        """Ranking score of every item for user i (mode-dependent).  One V @ u,
+        which can differ in the last bit from Scorer's per-pair scores."""
         u = self.U[i]
         dots = self.V @ u
         if self.mode == "dot":
@@ -113,10 +129,6 @@ class FactorModel:
         if self.mode == "dot":
             return np.clip(scores / self.r_max, 0.0, 1.0)
         return scores
-
-    def predicted_ratings(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Normalized scores mapped back to the rating scale [0, r_max]."""
-        return np.clip(self.normalized_scores(users, items), 0.0, 1.0) * self.r_max
 
 
 def init_model(

@@ -231,6 +231,23 @@ class TestBenchmarkCommand:
         varying = [c for c in REPORT_COLUMNS if c != "algorithm"]
         assert [rows[0][c] for c in varying] == [rows[1][c] for c in varying]
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_zero_beta_matches_cosine(self, from_config, ratings_file, tmp_path):
+        # float("-0") is -0.0, which would write a "-0" beta cell.
+        config = tmp_path / "run.cfg"
+        config.write_text("beta = -0\n")
+        beta = ["--config", str(config)] if from_config else ["--beta=-0"]
+        out = tmp_path / "results.csv"
+        code = main([
+            "benchmark", "--input", str(ratings_file),
+            "--algorithms", "cosine_mf,position_bias_mf", *beta,
+            "--k", "4", "--epochs", "2", "--seed", "7", "--output", str(out),
+        ])
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert rows[1]["beta"] == "0"
+        assert rows[1] == {**rows[0], "algorithm": "position_bias_mf"}
+
     def test_baselines_only(self, ratings_file, tmp_path):
         out = tmp_path / "results.csv"
         code = main([

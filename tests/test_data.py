@@ -172,6 +172,20 @@ class TestLoadCsv:
         assert (ds.n, ds.m) == (2, 2)
         assert ds.r_max == 5.0
 
+    @pytest.mark.parametrize("start", [b"\n", b"\xef\xbb\xbf \r\n"], ids=["blank", "bom_blank"])
+    def test_header_is_first_non_blank_row(self, tmp_path, start):
+        path = tmp_path / "blank_head.csv"
+        path.write_bytes(start + b"user,item,rating\nu1,i1,5\nu2,i1,3\n")
+        ds = load_csv(path, has_header=True)
+        assert ds.user_map == {"u1": 0, "u2": 1}
+        assert ds.ratings.tolist() == [5.0, 3.0]
+
+    def test_header_skip_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "blank_head.csv"
+        path.write_text("\nuser,item,rating\nu1,i1,five\n")
+        with pytest.raises(ValueError, match=r"blank_head\.csv:3: "):
+            load_csv(path, has_header=True)
+
     def test_fixture_with_context_columns(self):
         ds = load_csv(DATA_DIR / "ldos_sample.csv", has_header=True)
         assert (ds.n, ds.m) == (5, 7)

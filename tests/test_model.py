@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pbmf.baselines import RandomScorer, ZipfScorer
 from pbmf.model import (
     CHUNK_BYTES,
     NORM_EPSILON,
@@ -187,6 +188,38 @@ class TestPredictions:
         rows = model.scores_for_user(3)
         for j in range(9):
             assert rows[j] == pytest.approx(_cosine_oracle(model.U[3], model.V[j]), abs=1e-12)
+
+
+def _rating_map_scorer(name):
+    """A 9-user, 13-item scorer of each kind the CLI evaluates; the factor
+    models score some pairs below 0 and, in dot mode, above r_max."""
+    rng = np.random.default_rng(12)
+    U, V = rng.uniform(-1.5, 1.5, (9, 4)), rng.uniform(-1.5, 1.5, (13, 4))
+    return {
+        "dot": FactorModel(U=U, V=V, mode="dot", r_max=1.7),
+        "cosine": FactorModel(U=U, V=V, mode="cosine", r_max=4.3),
+        "random": RandomScorer(seed=5, n_items=13, r_max=4.3),
+        "zipf": ZipfScorer(popularity_rank=rng.permutation(13) + 1, r_max=4.3),
+    }[name]
+
+
+class TestRatingMap:
+    """Every scorer maps its normalized score to a rating the same way, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["dot", "cosine", "random", "zipf"])
+    def test_predicted_is_clipped_normalized_times_r_max(self, name):
+        scorer = _rating_map_scorer(name)
+        users = np.repeat(np.arange(9), 13)
+        items = np.tile(np.arange(13), 9)
+        want = np.clip(scorer.normalized_scores(users, items), 0, 1) * scorer.r_max
+        assert np.array_equal(scorer.predicted_ratings(users, items), want)
+
+    @pytest.mark.parametrize("name", ["random", "zipf"])
+    def test_baseline_row_is_normalized_scores(self, name):
+        scorer = _rating_map_scorer(name)
+        for i in (0, 4, 8):
+            want = scorer.normalized_scores(np.full(13, i), np.arange(13))
+            assert np.array_equal(scorer.scores_for_user(i), want)
 
 
 class _StubScorer:

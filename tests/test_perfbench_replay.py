@@ -38,4 +38,5 @@ def test_replay_benchmark_matches_plain_run(tmp_path):
     assert result.returncode == 0, result.stderr
     assert traced.read_bytes() == plain.read_bytes()
     names = {span["name"] for span in json.loads(spans_path.read_text())}
-    assert {"model.scores_for_user", "training.full_loss", "model.top_k"} <= names
+    assert {"model.scores_for_user", "model.predicted_ratings", "model.normalized_scores",
+            "baselines.scores_for_user", "training.full_loss", "model.top_k"} <= names
