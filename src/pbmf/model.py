@@ -55,6 +55,12 @@ class FactorModel(Scorer):
     :func:`cosine`, which is invariant to the scale of either factor row.
     `r_max` carries the rating scale of the training data so scores can be
     mapped back to ratings.
+
+    A cosine model caches the squared norms of V's rows at its first
+    :meth:`scores_for_user` call and makes V read-only from then on, so an
+    in-place write raises ValueError instead of ranking with stale norms.
+    Change factors with ``dataclasses.replace(model, V=...)`` or a new
+    FactorModel; assigning a new array to ``V`` also recomputes the norms.
     """
 
     U: np.ndarray
@@ -71,6 +77,7 @@ class FactorModel(Scorer):
             raise ValueError(
                 f"U and V disagree on the latent dimension: {self.U.shape[1]} vs {self.V.shape[1]}"
             )
+        self._v_sq: tuple[np.ndarray, np.ndarray] | None = None  # (V, its squared row norms)
 
     @property
     def n(self) -> int:
@@ -115,12 +122,17 @@ class FactorModel(Scorer):
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i (mode-dependent).  One V @ u,
-        which can differ in the last bit from Scorer's per-pair scores."""
+        which can differ in the last bit from Scorer's per-pair scores.  In
+        cosine mode the first call caches V's squared row norms for every
+        later call and makes V read-only."""
         u = self.U[i]
         dots = self.V @ u
         if self.mode == "dot":
             return dots
-        return cosine(dots, np.einsum("j,j", u, u), np.einsum("ij,ij->i", self.V, self.V))[0]
+        if self._v_sq is None or self._v_sq[0] is not self.V:
+            self.V.setflags(write=False)
+            self._v_sq = (self.V, np.einsum("ij,ij->i", self.V, self.V))
+        return cosine(dots, np.einsum("j,j", u, u), self._v_sq[1])[0]
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score on the normalized [~0, 1] scale compared against 1/m: the

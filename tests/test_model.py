@@ -8,6 +8,7 @@ from pbmf.model import (
     CHUNK_BYTES,
     NORM_EPSILON,
     FactorModel,
+    cosine,
     init_model,
     load_model,
     save_model,
@@ -278,6 +279,55 @@ class TestTopK:
     def test_rejects_bad_k_top(self):
         with pytest.raises(ValueError):
             top_k(_StubScorer([[1.0]]), n_users=1, k_top=0)
+
+
+def _cosine_model_with_zero_rows():
+    rng = np.random.default_rng(15)
+    U, V = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+    U[2] = 0.0
+    V[3] = 0.0
+    return FactorModel(U=U, V=V, mode="cosine")
+
+
+class TestItemNormCache:
+    """A cosine model computes V's squared row norms once and guards them."""
+
+    def test_rows_equal_uncached_expression_bit_for_bit(self):
+        model = _cosine_model_with_zero_rows()
+        U, V = model.U, model.V
+        want = [cosine(V @ U[i], np.einsum("j,j", U[i], U[i]),
+                       np.einsum("ij,ij->i", V, V))[0] for i in range(5)]
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            for i in range(5):
+                assert np.array_equal(model.scores_for_user(i), want[i])
+
+    def test_repeated_top_k_is_identical(self):
+        model = _cosine_model_with_zero_rows()
+        first = top_k(model, n_users=5, k_top=3)
+        second = top_k(model, n_users=5, k_top=3)
+        for a, b in zip(first.items + first.scores, second.items + second.scores):
+            assert np.array_equal(a, b)
+
+    def test_ranked_cosine_model_rejects_in_place_writes(self):
+        model = _cosine_model_with_zero_rows()
+        top_k(model, n_users=5, k_top=3)
+        with pytest.raises(ValueError):
+            model.V[0, 0] = 1.0
+
+    def test_assigned_v_recomputes_the_norms(self):
+        model = _cosine_model_with_zero_rows()
+        model.scores_for_user(0)
+        other = np.random.default_rng(16).normal(size=(7, 4))
+        fresh = FactorModel(U=model.U, V=other, mode="cosine")
+        model.V = other
+        for i in range(5):
+            assert np.array_equal(model.scores_for_user(i), fresh.scores_for_user(i))
+
+    def test_dot_model_keeps_v_writable(self):
+        model = _cosine_model_with_zero_rows()
+        model.mode = "dot"
+        top_k(model, n_users=5, k_top=3)
+        model.V[0, 0] = 1.0
 
 
 class TestPersistence:
