@@ -227,7 +227,9 @@ def split(
         )
     train = _subset(dataset, ~test_mask)
     test = _subset(dataset, test_mask)
-    keep = np.isin(test.users, train.users) & np.isin(test.items, train.items)
+    seen_users, seen_items = np.zeros(dataset.n, dtype=bool), np.zeros(dataset.m, dtype=bool)
+    seen_users[train.users] = seen_items[train.items] = True
+    keep = seen_users[test.users] & seen_items[test.items]
     dropped = int((~keep).sum())
     if dropped:
         logger.info(

@@ -188,9 +188,10 @@ def top_k(
 ) -> TopKLists:
     """Highest-scoring items per user, ties broken by ascending item index.
 
-    `scorer` exposes scores_for_user(i), the score of every item for user i.
-    `exclude` gives per-user item indices to leave out of the lists
-    (typically each user's training items).  NaN scores rank last.
+    `scorer` exposes scores_for_user(i), the score of every item for user i;
+    its rows are only read, never written.  `exclude` gives per-user item
+    indices to leave out of the lists (typically each user's training
+    items).  NaN scores rank last.
     """
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
@@ -199,21 +200,27 @@ def top_k(
     scores: list[np.ndarray] = []
     for i in range(n_users):
         row = np.asarray(score_row(i), dtype=np.float64)
-        keep = np.ones(row.shape[0], dtype=bool)
+        m = row.shape[0]
+        if m > k_top:
+            # Keep every item not worse than the k-th best candidate.  With the
+            # excluded items at +inf in the negated copy, a finite k-th value
+            # is that candidate's; a k-th of +inf or NaN keeps every item.  The
+            # ties at the k-th score and the NaNs stay in, so the stable sort
+            # below orders exactly as a sort of all candidates would.
+            neg = -row
+            if exclude is not None:
+                neg[exclude[i]] = np.inf
+            neg.partition(k_top - 1)
+            near = np.flatnonzero(~(row < -neg[k_top - 1]))
+        else:
+            near = np.arange(m)
         if exclude is not None:
-            keep[exclude[i]] = False
-        candidates = np.flatnonzero(keep)
-        neg = -row[candidates]
-        if neg.shape[0] > k_top:
-            # Keep every candidate not worse than the k-th best: the ties at
-            # the k-th score and the NaNs stay in, and a NaN k-th keeps all,
-            # so the stable sort below orders exactly as a sort of all would.
-            kth = np.partition(neg, k_top - 1)[k_top - 1]
-            near = np.flatnonzero(~(neg > kth))
-            candidates, neg = candidates[near], neg[near]
+            excluded = np.zeros(m, dtype=bool)
+            excluded[exclude[i]] = True
+            near = near[~excluded[near]]
         # Stable sort on the negated scores keeps ascending item index
         # within every group of tied scores, and puts NaN last.
-        top = candidates[np.argsort(neg, kind="stable")[:k_top]]
+        top = near[np.argsort(-row[near], kind="stable")[:k_top]]
         items.append(top)
         scores.append(row[top])
     return TopKLists(items=items, scores=scores)

@@ -125,6 +125,20 @@ def full_loss(
     return SampleLossBreakdown(fit_term=fit, penalty_term=penalty, total=fit + beta * penalty)
 
 
+def _wave_schedule(users: list[int], items: list[int], n: int, m: int) -> np.ndarray:
+    """Wave of each step in turn: 1 + the latest wave of its user or its item.
+    A function of its own, so that its lists and ints are freed on return
+    instead of pinning memory for the rest of the epoch."""
+    last_user, last_item, waves = [0] * n, [0] * m, []
+    add_wave = waves.append
+    for i, j in zip(users, items):
+        a, b = last_user[i], last_item[j]
+        wave = a + 1 if a > b else b + 1
+        last_user[i] = last_item[j] = wave
+        add_wave(wave)
+    return np.array(waves)
+
+
 def train(
     dataset: RatingsDataset, config: TrainConfig
 ) -> tuple[FactorModel, list[SampleLossBreakdown]]:
@@ -150,16 +164,11 @@ def train(
     history: list[SampleLossBreakdown] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(dataset))
-        # A step's wave is 1 + the latest wave of its user or its item, so no
-        # two steps of a wave share a factor row (the fancy-index updates below
-        # are exact) and each comes after every earlier step on its rows:
+        # No two steps of a wave share a factor row (the fancy-index updates
+        # below are exact) and each comes after every earlier step on its rows:
         # running the waves in turn is the shuffled order up to float rounding.
-        last_user, last_item, waves = [0] * dataset.n, [0] * dataset.m, []
-        for i, j in zip(dataset.users[order].tolist(), dataset.items[order].tolist()):
-            wave = max(last_user[i], last_item[j]) + 1
-            last_user[i] = last_item[j] = wave
-            waves.append(wave)
-        waves = np.array(waves)
+        waves = _wave_schedule(dataset.users[order].tolist(), dataset.items[order].tolist(),
+                               dataset.n, dataset.m)
         order = order[np.argsort(waves, kind="stable")]
         bounds = np.bincount(waves).cumsum().tolist()  # wave w is order[bounds[w-1]:bounds[w]]
         users, items, ratings = dataset.users[order], dataset.items[order], dataset.ratings[order]
@@ -168,10 +177,12 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
                 i, j = users[lo:hi], items[lo:hi]
-                grad_u, grad_v = gradients(U[i], V[j], ratings[lo:hi], mode,
+                u, v = U[i], V[j]  # gathered copies, updated and written back once
+                grad_u, grad_v = gradients(u, v, ratings[lo:hi], mode,
                                            dataset.r_max, dataset.m, beta)
-                U[i] -= lr * grad_u
-                V[j] -= lr * grad_v
+                u -= lr * grad_u
+                v -= lr * grad_v
+                U[i], V[j] = u, v
             losses = full_loss(model, dataset, beta)
         if not math.isfinite(losses.total):
             raise RuntimeError(

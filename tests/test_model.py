@@ -276,6 +276,19 @@ class TestTopK:
                      (a.base if a.base is not None else a).size for a in arrays}
             assert sum(bases.values()) <= n * k_top
 
+    def test_never_writes_into_scorer_rows(self):
+        rows = np.random.default_rng(17).random((4, 9))
+        rows[1, 3] = np.nan
+        rows.setflags(write=False)
+        stub = _StubScorer(rows)
+        assert stub.rows is rows  # each row handed out is a read-only view
+        exclude = [np.array([0, 8]), np.array([], dtype=np.int64), np.arange(9), np.array([3])]
+        lists = top_k(stub, n_users=4, k_top=3, exclude=exclude)
+        for i in range(4):
+            order = np.argsort(-rows[i], kind="stable")
+            want = order[~np.isin(order, exclude[i])][:3]
+            assert lists.items[i].tolist() == want.tolist()
+
     def test_rejects_bad_k_top(self):
         with pytest.raises(ValueError):
             top_k(_StubScorer([[1.0]]), n_users=1, k_top=0)

@@ -1,9 +1,10 @@
 """Property tests against plain-Python oracles: the wave-batched trainer
 against one SGD step at a time, `items_by_user` against a grouping in file
-order, `top_k` against a plain `sorted` and a full stable `argsort`, the
-Matthew degree against its formula, the rating-file writer against the
-loader, both loaders against a row-by-row reference, and the CLI against
-drawn rating and config files and drawn argv lists."""
+order, `split` against a set-based filter of the held-out rows, `top_k`
+against a plain `sorted` and a full stable `argsort`, the Matthew degree
+against its formula, the rating-file writer against the loader, both
+loaders against a row-by-row reference, and the CLI against drawn rating
+and config files and drawn argv lists."""
 
 import contextlib
 import io
@@ -18,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pbmf import cli  # noqa: E402
-from pbmf.data import load_csv, load_movielens  # noqa: E402
+from pbmf.data import SplitSpec, load_csv, load_movielens, split  # noqa: E402
 from pbmf.metrics import MATTHEW_VARIANTS, matthew_degree  # noqa: E402
 from pbmf.model import TopKLists, top_k  # noqa: E402
 from pbmf.synthetic import write_movielens_file  # noqa: E402
@@ -75,6 +76,27 @@ def test_items_by_user_matches_file_order_grouping(rows, empty_tail):
     dataset = make_dataset(users, items, [1.0] * len(rows), n=n)
     want = [[j for user, j in rows if user == i] for i in range(n)]
     assert [group.tolist() for group in dataset.items_by_user()] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=rating_files(), fraction=st.sampled_from([0.2, 0.5, 0.8]),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_keeps_held_out_rows_seen_in_train(dataset, fraction, seed):
+    rows = list(zip(dataset.users.tolist(), dataset.items.tolist(), dataset.ratings.tolist()))
+    held = (np.random.default_rng(seed).random(len(rows)) < fraction).tolist()
+    kept = [row for row, out in zip(rows, held) if not out]
+    users, items = {u for u, _, _ in kept}, {j for _, j, _ in kept}
+    want = [row for row, out in zip(rows, held) if out and row[0] in users and row[1] in items]
+    spec = SplitSpec(test_fraction=fraction, seed=seed)
+    if not kept or len(kept) == len(rows) or not want:
+        with pytest.raises(ValueError):
+            split(dataset, spec)
+        return
+    train, test = split(dataset, spec)
+    for part, rows_want in ((train, kept), (test, want)):
+        assert list(zip(part.users.tolist(), part.items.tolist(),
+                        part.ratings.tolist())) == rows_want
+        assert (part.n, part.m, part.r_max) == (dataset.n, dataset.m, dataset.r_max)
 
 
 class RowScorer:
@@ -149,6 +171,35 @@ def test_top_k_matches_stable_argsort(case):
     want = order[~np.isin(order, skip or [])][:k_top]
     assert lists.items[0].tolist() == want.tolist()
     np.testing.assert_array_equal(lists.scores[0], np.array(row)[want])
+
+
+@st.composite
+def multi_user_ranking_cases(draw):
+    """1-6 score rows over the same m items, drawn from RANK_VALUES, with no
+    exclusions or a set per user that may be empty or every item."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.sampled_from(RANK_VALUES), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    skip = st.sets(st.integers(0, m - 1)).map(sorted) | st.just([]) | st.just(list(range(m)))
+    exclude = draw(st.none() | st.lists(skip, min_size=n, max_size=n))
+    return rows, exclude, draw(st.integers(1, m + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=multi_user_ranking_cases())
+@example(case=([[0.5, math.nan, math.inf], [-0.0, 0.0, -math.inf]], [[2], [0, 1, 2]], 1))
+@example(case=([[math.nan, -1.0, math.nan, -math.inf]] * 3, [[], [1], [3, 0]], 2))
+def test_top_k_of_many_users_matches_stable_argsort(case):
+    rows, exclude, k_top = case
+    lists = top_k(RowScorer(rows), len(rows), k_top, exclude=None if exclude is None else
+                  [np.array(skip, dtype=np.int64) for skip in exclude])
+    assert len(lists) == len(rows)
+    for i, row in enumerate(rows):
+        order = np.argsort(-np.array(row), kind="stable")
+        want = order[~np.isin(order, [] if exclude is None else exclude[i])][:k_top]
+        assert lists.items[i].tolist() == want.tolist()
+        np.testing.assert_array_equal(lists.scores[i], np.array(row)[want])
 
 
 @settings(max_examples=100, deadline=None)
