@@ -2,7 +2,10 @@
 
 Loaders turn raw rating files into a :class:`RatingsDataset` whose user and
 item ids are mapped to contiguous indices in first-appearance order, so the
-same file always produces the same dataset byte for byte.  Splits are drawn
+same file always produces the same dataset byte for byte.  Both loaders
+number each id at its first row as they read, into flat index and rating
+arrays, and share one numpy step that keeps each (user, item) pair once: at
+its first row's position, with its last row's rating.  Splits are drawn
 with a seeded uniform draw and inherit the parent's index space and rating
 scale, so `n`, `m` and `r_max` stay global across train and test.
 """
@@ -14,8 +17,12 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from array import array
 
 logger = logging.getLogger(__name__)
 
@@ -82,39 +89,51 @@ def _checked_rating(text: str, source: str, lineno: int) -> float:
     return rating
 
 
-def _build_dataset(
-    by_pair: dict[tuple[str, str], float], rows: int, source: str
-) -> RatingsDataset:
-    """Number users and items in first-appearance order.
+def _empty_rows() -> tuple[dict[str, int], dict[str, int], array, array, array]:
+    """A loader's user and item id maps, and its user index, item index and
+    rating arrays, all empty."""
+    # Imported here: the array extension module adds about 80 kB to the
+    # resident size of every process that imports this module, loading a
+    # file or not.
+    from array import array
 
-    `by_pair` holds the last rating of each (user id, item id) pair of a
-    file's `rows` valid rows, in the order of each pair's first row.  A
-    user's (or item's) first row is also the first row of its pair, so
-    walking the pairs numbers the ids in the order the file shows them.
+    return {}, {}, array("q"), array("q"), array("d")
+
+
+def _build_dataset(users: array, items: array, ratings: array, user_map: dict[str, int],
+                   item_map: dict[str, int], source: str) -> RatingsDataset:
+    """Deduplicate a file's valid rows into a dataset.
+
+    Row t of `users`, `items` and `ratings` is the file's t-th valid row,
+    its ids numbered by the maps at their first row.  A repeated (user,
+    item) pair keeps the position of its first row and the rating of its
+    last; the ids keep their numbers, because an id's first row is also the
+    first row of its pair.  `r_max` is the largest kept rating.
     """
-    if not by_pair:
+    if not ratings:
         raise ValueError(f"{source}: no valid interactions found")
-    if rows > len(by_pair):
+    user_rows = np.frombuffer(users, dtype=np.int64)
+    item_rows = np.frombuffer(items, dtype=np.int64)
+    key = user_rows * len(item_map) + item_rows
+    order = np.argsort(key, kind="stable")  # the rows of each pair together, in file order
+    ends = np.append(np.diff(key[order]) != 0, True)  # where each pair's rows end
+    last_row = np.full(len(key), -1)
+    last_row[order[np.roll(ends, 1)]] = order[ends]  # at each pair's first row, its last row
+    first = np.flatnonzero(last_row >= 0)
+    if len(key) > len(first):
         logger.warning(
             "%s: kept the last rating for %d duplicated (user, item) pair(s)",
             source,
-            rows - len(by_pair),
+            len(key) - len(first),
         )
-    user_map: dict[str, int] = {}
-    item_map: dict[str, int] = {}
-    count = len(by_pair)
-    users = np.fromiter((user_map.setdefault(u, len(user_map)) for u, _ in by_pair),
-                        dtype=np.int64, count=count)
-    items = np.fromiter((item_map.setdefault(j, len(item_map)) for _, j in by_pair),
-                        dtype=np.int64, count=count)
-    ratings = np.fromiter(by_pair.values(), dtype=np.float64, count=count)
+    kept = np.frombuffer(ratings, dtype=np.float64)[last_row[first]]
     return RatingsDataset(
-        users=users,
-        items=items,
-        ratings=ratings,
+        users=user_rows[first],
+        items=item_rows[first],
+        ratings=kept,
         n=len(user_map),
         m=len(item_map),
-        r_max=float(ratings.max()),
+        r_max=float(kept.max()),
         user_map=user_map,
         item_map=item_map,
     )
@@ -128,11 +147,13 @@ def load_movielens(path: str | Path) -> RatingsDataset:
     whose user or item id is empty, are counted as malformed and reported
     via logging.  A line with the right shape but a non-numeric (or
     non-positive) rating raises :class:`ValueError` naming the line
-    number; text that is not UTF-8 raises it naming the file alone.
+    number; text that is not UTF-8 raises it naming the file alone.  A
+    repeated (user, item) pair keeps its first position and its last
+    rating, and a warning counts the dropped rows.
     """
     source = str(Path(path))
-    by_pair: dict[tuple[str, str], float] = {}
-    rows = malformed = 0
+    user_map, item_map, users, items, ratings = _empty_rows()
+    malformed = 0
     try:
         with open(source, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -144,13 +165,14 @@ def load_movielens(path: str | Path) -> RatingsDataset:
                 if not all(ids):  # not four fields, or an empty id
                     malformed += 1
                     continue
-                by_pair[ids] = _checked_rating(fields[2], source, lineno)
-                rows += 1
+                ratings.append(_checked_rating(fields[2], source, lineno))
+                users.append(user_map.setdefault(ids[0], len(user_map)))
+                items.append(item_map.setdefault(ids[1], len(item_map)))
     except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
         raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if malformed:
         logger.warning("%s: skipped %d malformed line(s)", source, malformed)
-    return _build_dataset(by_pair, rows, source)
+    return _build_dataset(users, items, ratings, user_map, item_map, source)
 
 
 def load_csv(
@@ -166,15 +188,14 @@ def load_csv(
     Raises :class:`ValueError` for a negative column index; naming
     `path:line` for a data row shorter than the requested columns, with an
     empty user or item id or that the csv module cannot parse; and naming
-    the file for text that is not UTF-8.  Duplicate (user, item) pairs keep
-    the last occurrence.
+    the file for text that is not UTF-8.  Repeated (user, item) pairs are
+    deduplicated as in :func:`load_movielens`.
     """
     if min(user_col, item_col, rating_col) < 0:
         raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
     source = str(Path(path))
     needed = max(user_col, item_col, rating_col) + 1
-    by_pair: dict[tuple[str, str], float] = {}
-    rows = 0
+    user_map, item_map, users, items, ratings = _empty_rows()
     with open(source, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header_left = has_header
@@ -191,14 +212,15 @@ def load_csv(
                 user_id, item_id = row[user_col].strip(), row[item_col].strip()
                 if not user_id or not item_id:
                     raise ValueError(f"{source}:{reader.line_num}: empty user or item id")
-                by_pair[user_id, item_id] = _checked_rating(row[rating_col].strip(), source,
-                                                           reader.line_num)
-                rows += 1
+                ratings.append(_checked_rating(row[rating_col].strip(), source,
+                                               reader.line_num))
+                users.append(user_map.setdefault(user_id, len(user_map)))
+                items.append(item_map.setdefault(item_id, len(item_map)))
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    return _build_dataset(by_pair, rows, source)
+    return _build_dataset(users, items, ratings, user_map, item_map, source)
 
 
 def _subset(dataset: RatingsDataset, mask: np.ndarray) -> RatingsDataset:

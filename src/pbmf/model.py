@@ -34,7 +34,8 @@ def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.nda
 
 class Scorer:
     """What the metrics read of a scorer, derived from the subclass's
-    `pair_scores(users, items)`, its `r_max` and its item count `m`."""
+    `pair_scores(users, items)`, its `r_max` and its item count `m`.
+    `pair_scores` also takes one user index against an array of items."""
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return self.pair_scores(users, items)
@@ -44,7 +45,8 @@ class Scorer:
         return np.clip(self.normalized_scores(users, items), 0.0, 1.0) * self.r_max
 
     def scores_for_user(self, i: int) -> np.ndarray:
-        return self.pair_scores(np.full(self.m, i), np.arange(self.m))
+        """Pair score of (i, j) for every item j, from one `pair_scores` call."""
+        return self.pair_scores(i, np.arange(self.m))
 
 
 @dataclass

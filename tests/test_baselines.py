@@ -43,6 +43,14 @@ class TestRandomScorer:
         freqs = counts / values.size
         assert np.all(np.abs(freqs - 0.1) <= 0.01)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_row_equals_pair_scores_of_the_full_user_column(self, seed):
+        # scores_for_user hands pair_scores one user index to broadcast.
+        scorer = RandomScorer(seed=seed, n_items=37, r_max=5.0)
+        for i in (0, 1, 5, 36, 2**40):
+            want = scorer.pair_scores(np.full(37, i), np.arange(37))
+            assert np.array_equal(scorer.scores_for_user(i), want)
+
     def test_seeds_decorrelate(self):
         a = RandomScorer(seed=1, n_items=100, r_max=5.0).scores_for_user(0)
         b = RandomScorer(seed=2, n_items=100, r_max=5.0).scores_for_user(0)

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pbmf.data import (
     load_movielens,
     split,
 )
+from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
 
 from conftest import DATA_DIR, make_dataset
 
@@ -111,6 +113,34 @@ class TestLoadMovielens:
         path.write_text("1::10::5::1\n1::20::4_5::2\n")
         with pytest.raises(ValueError, match=r"sep\.dat:2: rating '4_5' is not a number"):
             load_movielens(path)
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # One Python object per row (a dict entry keyed on a tuple of two id
+        # strings) costs about 250 bytes a row; flat index arrays cost under 100.
+        dataset = zipf_popularity_dataset(2000, 500, 25, seed=3, rating_scale=5,
+                                          integer_ratings=True)
+        path = tmp_path / "zipf50k.dat"
+        write_movielens_file(dataset, path)
+        tracemalloc.start()
+        try:
+            loaded = load_movielens(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 50_000
+        assert peak / len(loaded) < 150
+
+
+@pytest.mark.parametrize("sep, load", [("::", load_movielens), (",", load_csv)],
+                         ids=["movielens", "csv"])
+def test_r_max_is_the_largest_kept_rating(tmp_path, sep, load):
+    # The file's highest rating, 5, is replaced by its pair's last rating.
+    path = tmp_path / "replaced_top.txt"
+    path.write_text("".join(sep.join(row) + "\n" for row in
+                            [("1", "10", "5", "0"), ("1", "20", "3", "0"), ("1", "10", "2", "0")]))
+    ds = load(path)
+    assert ds.ratings.tolist() == [2.0, 3.0]
+    assert ds.r_max == 3.0
 
 
 class TestLoadCsv:
