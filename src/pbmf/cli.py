@@ -126,6 +126,20 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser with two corrections: a token of numbers is a value,
+    not an option string, and a flag given "--" as its value is a usage error."""
+
+    def _parse_optional(self, arg_string):
+        """argparse takes -1 and -.5 for values but -1e-3, -inf and -1,0.5 for
+        option strings; take every token whose parts float() reads, split as a
+        list flag splits it, for a value.  No option string reads as a float."""
+        try:
+            for part in _list_parts(arg_string, "number"):
+                float(part)
+        except (ValueError, argparse.ArgumentTypeError):
+            return super()._parse_optional(arg_string)
+        return None
+
     def parse_known_args(self, args=None, namespace=None):
         """Python < 3.12 stores [] for a value of "--" (`--k=--`) without calling its type."""
         namespace, extras = super().parse_known_args(args, namespace)
@@ -211,39 +225,6 @@ def _config_tokens(subs: dict[str, argparse.ArgumentParser], command: str,
         elif _parse_bool(raw):
             tokens.append(flag)
     return tokens
-
-
-def _reads_as_numbers(token: str) -> bool:
-    """Whether float() reads every part of `token`, split as a list flag splits it."""
-    try:
-        for part in _list_parts(token, "number"):
-            float(part)
-    except (ValueError, argparse.ArgumentTypeError):
-        return False
-    return True
-
-
-def _join_number_values(sub: argparse.ArgumentParser, tokens: list[str]) -> list[str]:
-    """Join each value-taking flag of `sub`, or a unique prefix of one as argparse
-    resolves it, to a next token of numbers (one, or a comma list) as
-    `flag=value`: argparse takes a value such as -1e-3, -inf or -1,0.5 for an
-    option string.  No option string reads as a float, so `--beta --k` stays apart."""
-    flags = {flag: action.nargs != 0 for action in sub._actions
-             for flag in action.option_strings}
-
-    def takes_value(token: str) -> bool:
-        if token in flags:
-            return flags[token]
-        matches = [flag for flag in flags if token.startswith("--") and flag.startswith(token)]
-        return len(matches) == 1 and flags[matches[0]]
-
-    joined: list[str] = []
-    for token in tokens:
-        if joined and takes_value(joined[-1]) and _reads_as_numbers(token):
-            joined[-1] = f"{joined[-1]}={token}"
-        else:
-            joined.append(token)
-    return joined
 
 
 def _split_dataset(args: argparse.Namespace):
@@ -351,8 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, subs = build_parser()
     sub = subs.get(argv[0]) if argv else None
     if sub is not None:
-        argv[1:] = _join_number_values(sub, argv[1:])
-        pre = argparse.ArgumentParser(prog=sub.prog, add_help=False)
+        pre = _Parser(prog=sub.prog, add_help=False)
         pre.add_argument("--config")
         config_path = pre.parse_known_args(argv[1:])[0].config
         if config_path:

@@ -35,7 +35,8 @@ def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.nda
 class Scorer:
     """What the metrics read of a scorer, derived from the subclass's
     `pair_scores(users, items)`, its `r_max` and its item count `m`.
-    `pair_scores` also takes one user index against an array of items."""
+    A subclass that keeps `scores_for_user` below must let `pair_scores`
+    take one user index against an array of items."""
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return self.pair_scores(users, items)

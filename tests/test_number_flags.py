@@ -7,7 +7,7 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from pbmf import cli  # noqa: E402
 
@@ -161,3 +161,41 @@ def test_ambiguous_abbreviation_is_not_joined(capsys):
         cli.main(["benchmark", *REQUIRED["benchmark"], "--h", "-3"])
     assert exc.value.code == 2
     assert "ambiguous option: --h could match --help, --header" in capsys.readouterr().err
+
+
+NUMBER = st.one_of(st.floats().map(repr), st.integers().map(str))
+# A token float() reads: one number, or a comma list of them, "-" leading or not.
+NUMBER_TEXTS = st.one_of(NUMBER, st.lists(NUMBER, min_size=1, max_size=4).map(",".join))
+
+
+def _exit_and_last_error_line(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err.strip().splitlines()[-1:]
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flag, _, _ in FLAGS],
+                         ids=[f"{command}{flag}" for command, flag, _, _ in FLAGS])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=NUMBER_TEXTS)
+@example(text="-1e-3")
+@example(text="-inf")
+@example(text="-1,0.5")
+def test_spaced_and_joined_numbers_read_alike(command, flag, text, tmp_path, monkeypatch,
+                                              capsys):
+    # A value that passes ends at the missing r.dat or m.pbmf (exit 1).
+    monkeypatch.chdir(tmp_path)
+    spaced = _exit_and_last_error_line([command, *REQUIRED[command], flag, text], capsys)
+    joined = _exit_and_last_error_line([command, *REQUIRED[command], f"{flag}={text}"], capsys)
+    assert spaced == joined and spaced[0] in (1, 2), (spaced, joined)
+    assert not any(tmp_path.iterdir())
+
+
+def test_number_before_the_subcommand_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-inf"])
+    assert exc.value.code == 2
+    assert "invalid choice: '-inf'" in capsys.readouterr().err
