@@ -19,12 +19,13 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import baselines, data, metrics, training
 from .model import load_model, save_model
 
 BENCHMARK_ALGORITHMS = training.ALGORITHMS + ("random", "zipf")
+LOCKSTEP_ALGORITHMS = ("cosine_mf", "position_bias_mf")  # benchmark trains them in one train_runs
 
 
 def _number(cast: type, ok: Callable[[Any], bool], expected: str) -> Callable[[str], Any]:
@@ -257,9 +258,14 @@ def _train_config(args: argparse.Namespace, algorithm: str,
 
 
 def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
-                 args: argparse.Namespace) -> object:
-    """Train a model or construct a baseline."""
-    if algorithm in training.ALGORITHMS:
+                 args: argparse.Namespace, trained: Iterator) -> object:
+    """The next lockstep-trained model, classic_mf trained alone, or a baseline."""
+    if algorithm in LOCKSTEP_ALGORITHMS:
+        result = next(trained)
+        if isinstance(result, BaseException):
+            raise result
+        return result[0]
+    if algorithm == "classic_mf":
         return training.train(train_set, _train_config(args, algorithm, beta))[0]
     if algorithm == "random":
         return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max)
@@ -306,23 +312,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     """One split, one row per run: each algorithm once, position_bias_mf per beta."""
     train_set, test_set = _split_dataset(args)
+    runs = [(algorithm, beta) for algorithm in args.algorithms
+            for beta in (args.beta if algorithm == "position_bias_mf" else [0.0])]
+    lockstep = [_train_config(args, a, b) for a, b in runs if a in LOCKSTEP_ALGORITHMS]
+    try:
+        trained = iter(training.train_runs(train_set, lockstep) if lockstep else [])
+    except MemoryError as exc:  # every run it would have trained fails alike
+        trained = iter([exc] * len(lockstep))
     rows: list[list[str]] = []
     had_error = False
-    for algorithm in args.algorithms:
+    for algorithm, beta in runs:
         # Baselines have no latent dimension and no epochs, failed or not.
         k_used, epochs_used = ((args.k, args.epochs) if algorithm in training.ALGORITHMS
                                else (0, 0))
-        for beta in args.beta if algorithm == "position_bias_mf" else [0.0]:
-            run = dict(algorithm=algorithm, beta=beta, k=k_used, epochs=epochs_used, seed=args.seed)
-            try:
-                scorer = _make_scorer(algorithm, beta, train_set, args)
-                report = metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
-                                              args.matthew_variant, **run)
-                rows.append(metrics.report_row(report) + [""])
-            except (ValueError, RuntimeError, MemoryError) as exc:
-                had_error = True
-                failed = metrics.MetricsReport(**run, k_top=args.k_top)
-                rows.append(metrics.report_row(failed) + [str(exc)])
+        run = dict(algorithm=algorithm, beta=beta, k=k_used, epochs=epochs_used, seed=args.seed)
+        try:
+            scorer = _make_scorer(algorithm, beta, train_set, args, trained)
+            report = metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
+                                          args.matthew_variant, **run)
+            rows.append(metrics.report_row(report) + [""])
+        except (ValueError, RuntimeError, MemoryError) as exc:
+            had_error = True
+            failed = metrics.MetricsReport(**run, k_top=args.k_top)
+            rows.append(metrics.report_row(failed) + [str(exc)])
     _write_csv(args.output, metrics.REPORT_COLUMNS + ["error"], rows)
     return 1 if had_error else 0
 

@@ -18,13 +18,15 @@ nor an item commute.  Gradients are analytic and validated against central
 finite differences in the test suite.  With beta = 0 the penalty path is
 the cosine path, down to the bit: ``position_bias_mf`` at beta = 0 and
 ``cosine_mf`` run the exact same arithmetic.
+``train`` is ``train_runs`` of one config; ``train_runs`` trains configs
+of one mode that differ only in ``algorithm`` and ``beta`` in lockstep.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -76,12 +78,13 @@ class SampleLossBreakdown:
 
 
 def gradients(u: np.ndarray, v: np.ndarray, ratings: np.ndarray, mode: str, r_max: float,
-              m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+              m: int, beta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of each sample's loss in its rows of `u` and `v`.
 
-    Row t of the (b, k) arrays `u` and `v` and entry t of `ratings` are one
-    sample.  "dot" mode differentiates (r - u . v)^2.  "cosine" mode
-    differentiates L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with
+    Row t of the (..., b, k) arrays `u` and `v` and entry t of `ratings` are
+    one sample; leading axes hold independent runs, with `beta` a float or
+    one value per run shaped (R, 1, 1).  "dot" mode differentiates
+    (r - u . v)^2.  "cosine" mode differentiates L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with
     c = cos(u, v); with g = dL/dc = -2 (r/r_max - c) + 2 beta (c - 1/m):
 
         grad_u = g * (v / (|u| |v|) - c * u / |u|^2)
@@ -92,13 +95,13 @@ def gradients(u: np.ndarray, v: np.ndarray, ratings: np.ndarray, mode: str, r_ma
     denominator is floored at NORM_EPSILON: |u| |v| in `model.cosine`, which
     the model scores with too, and |u|^2, |v|^2 here.
     """
-    dots = np.einsum("ij,ij->i", u, v)[:, None]
+    dots = np.einsum("...ij,...ij->...i", u, v)[..., None]
     ratings = ratings[:, None]
     if mode == "dot":
         g = -2.0 * (ratings - dots)
         return g * v, g * u
-    nu2 = np.einsum("ij,ij->i", u, u)[:, None]
-    nv2 = np.einsum("ij,ij->i", v, v)[:, None]
+    nu2 = np.einsum("...ij,...ij->...i", u, u)[..., None]
+    nv2 = np.einsum("...ij,...ij->...i", v, v)[..., None]
     c, denom = cosine(dots, nu2, nv2)
     g = -2.0 * (ratings / r_max - c) + 2.0 * beta * (c - 1.0 / m)
     grad_u = g * (v / denom - c / np.maximum(nu2, NORM_EPSILON) * u)
@@ -148,21 +151,44 @@ def train(
     order, and applies u <- u - lr * grad_u, v <- v - lr * grad_v,
     with both gradients evaluated at the pre-update values.  The run is
     bit-deterministic for a fixed (dataset, config).  A non-finite epoch
-    loss raises :class:`RuntimeError`.
+    loss raises :class:`RuntimeError`.  This is :func:`train_runs` of one config;
+    that trains configs of one mode differing only in `algorithm` and `beta`.
     """
+    result = train_runs(dataset, [config])[0]
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
+
+
+def train_runs(
+    dataset: RatingsDataset, configs: Sequence[TrainConfig]
+) -> list[tuple[FactorModel, list[SampleLossBreakdown]] | RuntimeError]:
+    """Train configs of one mode that differ only in `algorithm` and `beta`
+    (else ValueError) in lockstep, their factors stacked as U (R, n, k) and
+    V (R, m, k): one wave schedule per epoch, one gather, `gradients` call
+    and write-back per wave.  For each config, what :func:`train` returns
+    for it alone, bit for bit, or the RuntimeError it would raise."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    mode = "dot" if config.algorithm == "classic_mf" else "cosine"
-    beta = config.beta if config.algorithm == "position_bias_mf" else 0.0
-    model = init_model(dataset.n, dataset.m, config.k, seed=config.seed,
-                       scale=config.init_scale, mode=mode, r_max=dataset.r_max)
+    first = configs[0]
+    mode = "dot" if first.algorithm == "classic_mf" else "cosine"
+    if any(replace(c, algorithm=first.algorithm, beta=first.beta) != first
+           or (c.algorithm == "classic_mf") != (mode == "dot") for c in configs):
+        raise ValueError("lockstep configs must share a mode and all but algorithm and beta")
+    betas = [c.beta if c.algorithm == "position_bias_mf" else 0.0 for c in configs]
+    start = init_model(dataset.n, dataset.m, first.k, seed=first.seed,
+                       scale=first.init_scale, mode=mode, r_max=dataset.r_max)
+    U, V = (np.repeat(f[None], len(configs), axis=0) for f in (start.U, start.V))
+    del start  # one run's factors are the stacks: keep no second copy
+    beta = np.array(betas)[:, None, None]
+    runs = [(FactorModel(U=U[r], V=V[r], mode=mode, r_max=dataset.r_max), [])
+            for r in range(len(configs))]
+    errors: dict[int, RuntimeError] = {}
     # The shuffle stream is separate from the init stream so visit order
     # never depends on how many factors were drawn.
-    shuffle_rng = np.random.default_rng([config.seed, 1])
-    U, V = model.U, model.V
-    lr = config.learning_rate
-    history: list[SampleLossBreakdown] = []
-    for epoch in range(1, config.epochs + 1):
+    shuffle_rng = np.random.default_rng([first.seed, 1])
+    lr = first.learning_rate
+    for epoch in range(1, first.epochs + 1):
         order = shuffle_rng.permutation(len(dataset))
         # No two steps of a wave share a factor row (the fancy-index updates
         # below are exact) and each comes after every earlier step on its rows:
@@ -174,23 +200,25 @@ def train(
         users, items, ratings = dataset.users[order], dataset.items[order], dataset.ratings[order]
         # A runaway learning rate overflows factors to inf/nan; suppress the
         # per-op warnings and rely on the epoch-end divergence check instead.
+        # A diverged run's rows go on as NaN, which touches no other run's.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
                 i, j = users[lo:hi], items[lo:hi]
-                u, v = U[i], V[j]  # gathered copies, updated and written back once
+                u, v = np.take(U, i, axis=1), np.take(V, j, axis=1)  # copies, faster than U[:, i]
                 grad_u, grad_v = gradients(u, v, ratings[lo:hi], mode,
                                            dataset.r_max, dataset.m, beta)
                 u -= lr * grad_u
                 v -= lr * grad_v
-                U[i], V[j] = u, v
-            losses = full_loss(model, dataset, beta)
-        if not math.isfinite(losses.total):
-            raise RuntimeError(
-                f"training diverged at epoch {epoch}: non-finite loss; "
-                f"try a learning_rate smaller than {lr}"
-            )
-        history.append(losses)
-    return model, history
+                U[:, i], V[:, j] = u, v
+            for r, (model, history) in enumerate(runs):
+                if r not in errors:
+                    history.append(full_loss(model, dataset, betas[r]))
+                    if not math.isfinite(history[-1].total):
+                        errors[r] = RuntimeError(f"training diverged at epoch {epoch}: non-finite "
+                                                 f"loss; try a learning_rate smaller than {lr}")
+        if len(errors) == len(runs):
+            break
+    return [errors.get(r, run) for r, run in enumerate(runs)]
 
 
 def save_loss_history(

@@ -318,6 +318,21 @@ class TestBenchmarkCommand:
         assert rows[0]["mae"] == ""
         assert rows[1]["algorithm"] == "zipf" and rows[1]["error"] == ""
 
+    def test_diverged_run_leaves_the_other_rows_unchanged(self, tmp_path):
+        # The cosine-mode runs train in lockstep; one huge beta diverges alone.
+        sample = Path(__file__).resolve().parent / "data" / "ml1m_sample.dat"
+        args = ["benchmark", "--input", str(sample), "--algorithms", "cosine_mf,position_bias_mf",
+                "--k", "2", "--epochs", "1"]
+        diverged, kept = tmp_path / "diverged.csv", tmp_path / "kept.csv"
+        assert main(args + ["--beta", "0,0.1,1e200", "--output", str(diverged)]) == 1
+        assert main(args + ["--beta", "0,0.1", "--output", str(kept)]) == 0
+        lines = diverged.read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[:4] == kept.read_text().splitlines()
+        assert read_csv_rows(diverged)[3]["error"] == (
+            "training diverged at epoch 1: non-finite loss; "
+            "try a learning_rate smaller than 0.01")
+
     def test_unallocatable_k_recorded(self, ratings_file, tmp_path):
         out = tmp_path / "results.csv"
         code = main([
@@ -490,6 +505,7 @@ class TestConfigFile:
             raise AssertionError("trained before the config was checked")
 
         monkeypatch.setattr("pbmf.training.train", no_training)
+        monkeypatch.setattr("pbmf.training.train_runs", no_training)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"algorithms = cosine_mf\n{line}\n")
         out = tmp_path / "results.csv"
@@ -509,6 +525,7 @@ class TestConfigFile:
             raise AssertionError("trained with a misspelt config key")
 
         monkeypatch.setattr("pbmf.training.train", no_training)
+        monkeypatch.setattr("pbmf.training.train_runs", no_training)
         monkeypatch.setattr("pbmf.data.load_movielens", no_training)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"algorithms = cosine_mf\n{key} = {value}\n")

@@ -12,6 +12,7 @@ from pbmf.training import (
     gradients,
     save_loss_history,
     train,
+    train_runs,
 )
 from pbmf.synthetic import zipf_popularity_dataset
 
@@ -324,6 +325,66 @@ class TestTrain:
         assert classic.mode == "dot"
         assert cosine.mode == "cosine"
         assert classic.r_max == ds.r_max
+
+
+class TestTrainRuns:
+    @staticmethod
+    def zipf_dataset():
+        return zipf_popularity_dataset(40, 30, 10, seed=4, rating_scale=5.0, integer_ratings=True)
+
+    def test_lockstep_matches_separate_runs(self):
+        ds = self.zipf_dataset()
+        configs = [TrainConfig(algorithm=algorithm, beta=beta, k=4, learning_rate=0.05,
+                               epochs=3, seed=7)
+                   for algorithm, beta in [("cosine_mf", 0.0), ("position_bias_mf", 0.0),
+                                           ("position_bias_mf", 0.1), ("position_bias_mf", 1.0),
+                                           ("position_bias_mf", 0.1)]]
+        results = train_runs(ds, configs)
+        assert len(results) == len(configs)
+        for config, (model, history) in zip(configs, results):
+            alone, alone_history = train(ds, config)
+            assert np.array_equal(model.U, alone.U)
+            assert np.array_equal(model.V, alone.V)
+            assert history == alone_history
+        (cosine, cosine_history), (beta_zero, beta_zero_history) = results[:2]
+        assert np.array_equal(cosine.U, beta_zero.U)
+        assert np.array_equal(cosine.V, beta_zero.V)
+        assert cosine_history == beta_zero_history
+
+    def test_dot_mode_runs_train_together(self):
+        ds = self.zipf_dataset()
+        config = TrainConfig(algorithm="classic_mf", k=3, learning_rate=0.01, epochs=2, seed=1)
+        (model, history), (again, _) = train_runs(ds, [config, config])
+        alone, alone_history = train(ds, config)
+        assert np.array_equal(model.U, alone.U) and np.array_equal(again.V, alone.V)
+        assert history == alone_history
+
+    def test_diverged_run_is_its_own_error(self):
+        ds = self.zipf_dataset()
+        kept = TrainConfig(algorithm="position_bias_mf", beta=0.1, k=4, epochs=2, seed=7)
+        diverging = replace(kept, beta=1e200)
+        (model, history), error = train_runs(ds, [kept, diverging])
+        alone, alone_history = train(ds, kept)
+        assert np.array_equal(model.U, alone.U) and np.array_equal(model.V, alone.V)
+        assert history == alone_history
+        assert isinstance(error, RuntimeError)
+        with pytest.raises(RuntimeError) as raised:
+            train(ds, diverging)
+        assert str(error) == str(raised.value)
+        assert str(error).startswith("training diverged at epoch 1")
+
+    @pytest.mark.parametrize("change", [
+        {"k": 5},
+        {"seed": 8},
+        {"learning_rate": 0.02},
+        {"epochs": 3},
+        {"init_scale": 0.2},
+        {"algorithm": "classic_mf"},
+    ])
+    def test_configs_differing_beyond_algorithm_and_beta_rejected(self, change):
+        base = TrainConfig(algorithm="position_bias_mf", beta=0.1, k=4, epochs=2, seed=7)
+        with pytest.raises(ValueError, match="lockstep configs must share a mode"):
+            train_runs(small_dataset(), [base, replace(base, **change)])
 
 
 class TestTrainConfig:
