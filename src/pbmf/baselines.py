@@ -20,23 +20,12 @@ def _mix64(x):
     return x ^ (x >> _U64(31))
 
 
-def _hash_uniform(seed: int, users, items):
-    """Deterministic uniform [0, 1) draw keyed on (seed, user, item).
-
-    Counter-based: the value depends only on the key, never on how many
-    draws happened before, so evaluation order cannot change results.
-    """
-    with np.errstate(over="ignore"):
-        h = _mix64(_U64(seed) ^ _GOLDEN)
-        h = _mix64(h ^ np.asarray(users, dtype=np.uint64))
-        h = _mix64(h ^ np.asarray(items, dtype=np.uint64))
-    return (h >> _U64(11)) * 2.0**-53
-
-
 class RandomScorer(Scorer):
     """Scores every (user, item) pair with an i.i.d.-style uniform value.
 
-    The seed keys a 64-bit hash, so it must lie in [0, 2**64).
+    The seed keys a 64-bit hash, so it must lie in [0, 2**64).  The draws
+    are counter-based: a value depends only on (seed, user, item), never on
+    how many draws happened before, so evaluation order cannot change it.
     """
 
     def __init__(self, seed: int, n_items: int, r_max: float):
@@ -45,9 +34,15 @@ class RandomScorer(Scorer):
         self.seed = int(seed)
         self.m = int(n_items)
         self.r_max = float(r_max)
+        with np.errstate(over="ignore"):
+            self._seed_hash = _mix64(_U64(seed) ^ _GOLDEN)  # the same for every draw
 
     def pair_scores(self, users, items) -> np.ndarray:
-        return _hash_uniform(self.seed, users, items)
+        """Uniform [0, 1) draws keyed on (seed, user, item)."""
+        with np.errstate(over="ignore"):
+            h = _mix64(self._seed_hash ^ np.asarray(users, dtype=np.uint64))
+            h = _mix64(h ^ np.asarray(items, dtype=np.uint64))
+        return (h >> _U64(11)) * 2.0**-53
 
 
 class ZipfScorer(Scorer):

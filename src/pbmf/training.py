@@ -170,6 +170,8 @@ def train_runs(
     for it alone, bit for bit, or the RuntimeError it would raise."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
+    if not configs:
+        raise ValueError("lockstep training needs at least one config")
     first = configs[0]
     mode = "dot" if first.algorithm == "classic_mf" else "cosine"
     if any(replace(c, algorithm=first.algorithm, beta=first.beta) != first

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pbmf import model as model_module
 from pbmf.baselines import RandomScorer, ZipfScorer
 from pbmf.model import (
     CHUNK_BYTES,
@@ -231,6 +232,18 @@ class _StubScorer:
         return self.rows[i]
 
 
+class _SpyScorer(_StubScorer):
+    """A stub that records the users it is asked to score."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.calls = []
+
+    def scores_for_user(self, i):
+        self.calls.append(i)
+        return self.rows[i]
+
+
 class TestTopK:
     def test_basic(self):
         lists = top_k(_StubScorer([[0.9, 0.1, 0.5]]), n_users=1, k_top=2)
@@ -289,9 +302,45 @@ class TestTopK:
             want = order[~np.isin(order, exclude[i])][:3]
             assert lists.items[i].tolist() == want.tolist()
 
+    def test_exclusions_may_be_lists(self):
+        rows = np.tile(np.arange(6.0), (3, 1))
+        lists = top_k(_StubScorer(rows), n_users=3, k_top=2, exclude=[[], [5, 4], []])
+        assert [items.tolist() for items in lists.items] == [[5, 4], [3, 2], [5, 4]]
+
     def test_rejects_bad_k_top(self):
         with pytest.raises(ValueError):
             top_k(_StubScorer([[1.0]]), n_users=1, k_top=0)
+
+    @pytest.mark.parametrize("m", [12, model_module.BLOCK_RANK_MAX_M + 1])
+    def test_scores_each_user_once_in_order(self, monkeypatch, m):
+        # Blocks of 2 rows at m = 12; wider rows go one at a time.
+        monkeypatch.setattr(model_module, "RANK_BLOCK_BYTES", 2 * 8 * 12)
+        spy = _SpyScorer(np.random.default_rng(18).random((7, m)))
+        top_k(spy, n_users=7, k_top=3)
+        assert spy.calls == list(range(7))
+
+    def test_no_users_scores_nobody(self):
+        spy = _SpyScorer(np.zeros((0, 4)))
+        assert len(top_k(spy, n_users=0, k_top=2)) == 0
+        assert spy.calls == []
+
+    def test_wide_rows_ranked_one_at_a_time(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a row wider than BLOCK_RANK_MAX_M went to _rank_block")
+
+        monkeypatch.setattr(model_module, "_rank_block", no_blocks)
+        rng = np.random.default_rng(19)
+        n, m = 6, model_module.BLOCK_RANK_MAX_M + 1
+        rows = rng.integers(0, 50, size=(n, m)).astype(float)  # many ties
+        rows[1, :5] = np.nan
+        rows[2, 7] = np.inf
+        exclude = [rng.choice(m, size, replace=False) for size in (0, 3, 10, m - 2, m, 40)]
+        lists = top_k(_StubScorer(rows), n_users=n, k_top=5, exclude=exclude)
+        for i in range(n):
+            order = np.argsort(-rows[i], kind="stable")
+            want = order[~np.isin(order, exclude[i])][:5]
+            assert lists.items[i].tolist() == want.tolist()
+            np.testing.assert_array_equal(lists.scores[i], rows[i, want])
 
 
 def _cosine_model_with_zero_rows():

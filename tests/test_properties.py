@@ -1,16 +1,19 @@
 """Property tests against plain-Python oracles: the wave-batched trainer
 against one SGD step at a time, `items_by_user` against a grouping in file
 order, `split` against a set-based filter of the held-out rows, `top_k`
-against a plain `sorted` and a full stable `argsort`, the Matthew degree
-against its formula, the rating-file writer against the loader, both
-loaders against a row-by-row reference, and the CLI against drawn rating
-and config files and drawn argv lists."""
+against a plain `sorted` and a full stable `argsort`, also across many
+blocks, the Matthew degree against its formula, the rating-file writer
+against the loader, both loaders against a row-by-row reference, the
+block-parsing MovieLens loader against a line-by-line one on drawn raw
+lines, and the CLI against drawn rating and config files and drawn argv
+lists."""
 
 import contextlib
 import io
 import logging
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from pbmf import cli  # noqa: E402
+from pbmf import cli, data, model as model_module  # noqa: E402
 from pbmf.data import SplitSpec, load_csv, load_movielens, split  # noqa: E402
 from pbmf.metrics import MATTHEW_VARIANTS, matthew_degree  # noqa: E402
 from pbmf.model import TopKLists, top_k  # noqa: E402
@@ -202,6 +205,39 @@ def test_top_k_of_many_users_matches_stable_argsort(case):
         np.testing.assert_array_equal(lists.scores[i], np.array(row)[want])
 
 
+@st.composite
+def ranking_blocks(draw):
+    """Up to 200 users' score rows over m <= 40 items, from a seeded draw.
+    Each row holds distinct values, three tied values or RANK_VALUES; each
+    user excludes no item, a few, half or every item, or nobody excludes
+    any.  The block holds 1-16 rows, so the users span many blocks."""
+    n, m = draw(st.integers(1, 200)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = rng.integers(0, 3, (n, 1))
+    rows = np.where(kinds == 0, rng.random((n, m)),
+                    np.where(kinds == 1, rng.integers(0, 3, (n, m)) / 2,
+                             rng.choice(RANK_VALUES, (n, m))))
+    exclude = None
+    if draw(st.booleans()):
+        exclude = [np.flatnonzero(rng.random(m) < share)
+                   for share in rng.choice([0.0, 0.1, 0.5, 1.0], n)]
+    return rows, exclude, draw(st.integers(1, m + 2)), draw(st.integers(1, 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranking_blocks())
+def test_top_k_in_blocks_matches_stable_argsort(case):
+    rows, exclude, k_top, block_rows = case
+    with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * rows.shape[1]):
+        lists = top_k(RowScorer(rows), len(rows), k_top, exclude=exclude)
+    assert len(lists) == len(rows)
+    for i, row in enumerate(rows):
+        order = np.argsort(-row, kind="stable")
+        want = order[~np.isin(order, [] if exclude is None else exclude[i])][:k_top]
+        assert lists.items[i].tolist() == want.tolist()
+        np.testing.assert_array_equal(lists.scores[i], row[want])
+
+
 @settings(max_examples=100, deadline=None)
 @given(lists=st.lists(st.lists(st.integers(0, 9), max_size=5, unique=True), max_size=8),
        variant=st.sampled_from(MATTHEW_VARIANTS))
@@ -296,6 +332,100 @@ def test_loaders_match_row_by_row_reference(fmt, rows, tmp_path_factory):
     assert loaded.ratings.tolist() == ratings
     assert (loaded.user_map, loaded.item_map) == (user_map, item_map)
     assert handler.counts == ([duplicates] if duplicates else [])
+
+
+def line_by_line_load_movielens(path):
+    """`load_movielens` as it parsed before it read blocks: line by line."""
+    source = str(Path(path))
+    user_map, item_map, users, items, ratings = data._empty_rows()
+    malformed = 0
+    try:
+        with open(source, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                fields = line.split("::")
+                ids = (fields[0].strip(), fields[1].strip()) if len(fields) == 4 else ("", "")
+                if not all(ids):  # not four fields, or an empty id
+                    malformed += 1
+                    continue
+                ratings.append(data._checked_rating(fields[2], source, lineno))
+                users.append(user_map.setdefault(ids[0], len(user_map)))
+                items.append(item_map.setdefault(ids[1], len(item_map)))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
+    if malformed:
+        data.logger.warning("%s: skipped %d malformed line(s)", source, malformed)
+    return data._build_dataset(users, items, ratings, user_map, item_map, source)
+
+
+class WarningMessages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def load_outcome(load, path):
+    """What a loader returns, or the message it raises, and what it logs."""
+    handler = WarningMessages()
+    data.logger.addHandler(handler)
+    try:
+        loaded = load(path)
+        outcome = (loaded.users.tolist(), loaded.items.tolist(), loaded.ratings.tolist(),
+                   list(loaded.user_map.items()), list(loaded.item_map.items()),
+                   loaded.n, loaded.m, loaded.r_max)
+    except ValueError as exc:
+        outcome = str(exc)
+    finally:
+        data.logger.removeHandler(handler)
+    return outcome, handler.messages
+
+
+RAW_IDS = ["1", "2", "10", "a", " 3", "4 ", "\x851"] * 3 + ["", " ", ":", "1:", ":2", "\x85"]
+RAW_RATINGS = ["1", "2", "4", "3.5", " 5 ", "2\x85"]
+BAD_RAW_RATINGS = ["4_5", "nan", "0", "-1", "1e400", "x", ""]
+
+
+@st.composite
+def raw_rating_lines(draw, ratings):
+    """One line of a rating file: blank or whitespace-only, or 1-6 fields
+    (mostly 4) joined by "::", some by ":::" or ":", maybe starting or
+    ending with ":", and ended by "\n", "\r\n", "\r" or "\x85\n"."""
+    if draw(st.integers(0, 9)) == 0:
+        body = draw(st.sampled_from(["", " ", "\t", "\x85", " \x85 "]))
+    else:
+        fields = [draw(st.sampled_from(ratings if at == 2 else RAW_IDS))
+                  for at in range(draw(st.sampled_from([4] * 6 + [1, 2, 3, 5, 6])))]
+        body = fields[0]
+        for field in fields[1:]:
+            body += draw(st.sampled_from(["::"] * 8 + [":::", ":"])) + field
+        body = draw(st.sampled_from(["", "", ":"])) + body + draw(st.sampled_from(["", "", ":"]))
+    return body + draw(st.sampled_from(["\n"] * 5 + ["\r\n", "\r", "\x85\n"]))
+
+
+@st.composite
+def raw_rating_files(draw):
+    """Up to 80 drawn lines, with bad ratings or without, and maybe no final
+    newline."""
+    ratings = RAW_RATINGS + (BAD_RAW_RATINGS if draw(st.booleans()) else [])
+    text = "".join(draw(st.lists(raw_rating_lines(ratings), max_size=80)))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=raw_rating_files(), block_chars=st.integers(1, 64))
+@example(text="1::2::3::0\n" * 30 + "1::2::x::0\n", block_chars=16)
+@example(text="1::2::3::0\n1::2::3::0::5\n2::3::4::0", block_chars=1)
+def test_movielens_blocks_match_line_by_line_loader(text, block_chars, tmp_path_factory):
+    path = tmp_path_factory.mktemp("blocks") / "ratings.dat"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(data, "LOAD_BLOCK_CHARS", block_chars):
+        got = load_outcome(load_movielens, path)
+    assert got == load_outcome(line_by_line_load_movielens, path)
 
 
 BOM = b"\xef\xbb\xbf"

@@ -386,6 +386,10 @@ class TestTrainRuns:
         with pytest.raises(ValueError, match="lockstep configs must share a mode"):
             train_runs(small_dataset(), [base, replace(base, **change)])
 
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            train_runs(small_dataset(), [])
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
