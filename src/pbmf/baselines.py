@@ -14,10 +14,13 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 
 def _mix64(x):
-    """splitmix64 finalizer (vectorized over uint64)."""
-    x = (x ^ (x >> _U64(30))) * _MIX1
-    x = (x ^ (x >> _U64(27))) * _MIX2
-    return x ^ (x >> _U64(31))
+    """splitmix64 finalizer (vectorized over uint64), in place on an array."""
+    x ^= x >> _U64(30)
+    x *= _MIX1
+    x ^= x >> _U64(27)
+    x *= _MIX2
+    x ^= x >> _U64(31)
+    return x
 
 
 class RandomScorer(Scorer):
@@ -36,6 +39,7 @@ class RandomScorer(Scorer):
         self.r_max = float(r_max)
         with np.errstate(over="ignore"):
             self._seed_hash = _mix64(_U64(seed) ^ _GOLDEN)  # the same for every draw
+        self._items: np.ndarray | None = None  # arange(m) as uint64, made at the first row
 
     def pair_scores(self, users, items) -> np.ndarray:
         """Uniform [0, 1) draws keyed on (seed, user, item)."""
@@ -43,6 +47,12 @@ class RandomScorer(Scorer):
             h = _mix64(self._seed_hash ^ np.asarray(users, dtype=np.uint64))
             h = _mix64(h ^ np.asarray(items, dtype=np.uint64))
         return (h >> _U64(11)) * 2.0**-53
+
+    def scores_for_user(self, i: int) -> np.ndarray:
+        """pair_scores of user i against every item: the user's hash is mixed once."""
+        if self._items is None:
+            self._items = np.arange(self.m, dtype=np.uint64)
+        return self.pair_scores(i, self._items)
 
 
 class ZipfScorer(Scorer):
@@ -69,3 +79,7 @@ class ZipfScorer(Scorer):
 
     def pair_scores(self, users, items) -> np.ndarray:
         return self._inv_rank[np.asarray(items)]
+
+    def scores_for_user(self, i: int) -> np.ndarray:
+        """The read-only 1 / rank row itself: every user's row is the same."""
+        return self._inv_rank

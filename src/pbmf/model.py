@@ -33,10 +33,11 @@ RANK_BLOCK_BYTES = 256 * 1024
 BLOCK_RANK_MAX_M = 1000
 
 
-def cosine(dots: np.ndarray, u_sq: np.ndarray, v_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cosine(dots: np.ndarray, u_norm: np.ndarray,
+           v_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosines u . v / max(|u| |v|, NORM_EPSILON) from the dot products and
-    squared norms of the pairs, and the denominators they were divided by."""
-    denom = np.maximum(np.sqrt(u_sq) * np.sqrt(v_sq), NORM_EPSILON)
+    norms of the pairs, and the denominators they were divided by."""
+    denom = np.maximum(u_norm * v_norm, NORM_EPSILON)
     return dots / denom, denom
 
 
@@ -67,11 +68,12 @@ class FactorModel(Scorer):
     `r_max` carries the rating scale of the training data so scores can be
     mapped back to ratings.
 
-    A cosine model caches the squared norms of V's rows at its first
-    :meth:`scores_for_user` call and makes V read-only from then on, so an
-    in-place write raises ValueError instead of ranking with stale norms.
+    A cosine model caches the row norms of U and of V at its first
+    :meth:`scores_for_user` call and makes both read-only from then on, so
+    an in-place write raises ValueError instead of ranking with stale norms.
     Change factors with ``dataclasses.replace(model, V=...)`` or a new
-    FactorModel; assigning a new array to ``V`` also recomputes the norms.
+    FactorModel; assigning a new array to ``U`` or ``V`` also recomputes
+    the norms.
     """
 
     U: np.ndarray
@@ -88,7 +90,7 @@ class FactorModel(Scorer):
             raise ValueError(
                 f"U and V disagree on the latent dimension: {self.U.shape[1]} vs {self.V.shape[1]}"
             )
-        self._v_sq: tuple[np.ndarray, np.ndarray] | None = None  # (V, its squared row norms)
+        self._norms: tuple[np.ndarray, ...] | None = None  # (U, V, U's row norms, V's)
 
     @property
     def n(self) -> int:
@@ -127,23 +129,24 @@ class FactorModel(Scorer):
             if self.mode == "dot":
                 scores[block] = dots
             else:
-                scores[block] = cosine(dots, np.einsum("ij,ij->i", us, us),
-                                       np.einsum("ij,ij->i", vs, vs))[0]
+                scores[block] = cosine(dots, np.sqrt(np.einsum("ij,ij->i", us, us)),
+                                       np.sqrt(np.einsum("ij,ij->i", vs, vs)))[0]
         return scores
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i (mode-dependent).  One V @ u,
         which can differ in the last bit from Scorer's per-pair scores.  In
-        cosine mode the first call caches V's squared row norms for every
-        later call and makes V read-only."""
-        u = self.U[i]
-        dots = self.V @ u
+        cosine mode the first call caches the row norms of U and V for every
+        later call and makes both read-only."""
+        dots = self.V @ self.U[i]
         if self.mode == "dot":
             return dots
-        if self._v_sq is None or self._v_sq[0] is not self.V:
+        if self._norms is None or self._norms[0] is not self.U or self._norms[1] is not self.V:
+            self.U.setflags(write=False)
             self.V.setflags(write=False)
-            self._v_sq = (self.V, np.einsum("ij,ij->i", self.V, self.V))
-        return cosine(dots, np.einsum("j,j", u, u), self._v_sq[1])[0]
+            self._norms = (self.U, self.V, *(np.sqrt(np.einsum("ij,ij->i", f, f))
+                                             for f in (self.U, self.V)))
+        return cosine(dots, self._norms[2][i], self._norms[3])[0]
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score on the normalized [~0, 1] scale compared against 1/m: the

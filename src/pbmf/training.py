@@ -77,36 +77,37 @@ class SampleLossBreakdown:
     total: float
 
 
-def gradients(u: np.ndarray, v: np.ndarray, ratings: np.ndarray, mode: str, r_max: float,
-              m: int, beta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of each sample's loss in its rows of `u` and `v`.
+def gradients(x: np.ndarray, ratings: np.ndarray, mode: str, r_max: float,
+              m: int, beta: float | np.ndarray) -> np.ndarray:
+    """Analytic gradients of each sample's loss in its user and item rows.
 
-    Row t of the (..., b, k) arrays `u` and `v` and entry t of `ratings` are
-    one sample; leading axes hold independent runs, with `beta` a float or
-    one value per run shaped (R, 1, 1).  "dot" mode differentiates
+    `x` stacks the pairs as (..., 2, b, k): x[..., 0, t] is sample t's user
+    row u, x[..., 1, t] its item row v, and entry t of `ratings` its rating.
+    Leading axes hold independent runs, with `beta` a float or one value per
+    run shaped (R, 1, 1, 1).  The result has the shape of `x`: grad_u on the
+    user side, grad_v on the item side.  "dot" mode differentiates
     (r - u . v)^2.  "cosine" mode differentiates L = (r/r_max - c)^2 + beta * (c - 1/m)^2 with
     c = cos(u, v); with g = dL/dc = -2 (r/r_max - c) + 2 beta (c - 1/m):
 
         grad_u = g * (v / (|u| |v|) - c * u / |u|^2)
         grad_v = g * (u / (|u| |v|) - c * v / |v|^2)
 
-    The direction of each gradient is tangential (grad_u . u = 0), because
+    Both sides are one expression over `x` and its pair-swapped view.  The
+    direction of each gradient is tangential (grad_u . u = 0), because
     the cosine is invariant to the length of either vector.  Every
     denominator is floored at NORM_EPSILON: |u| |v| in `model.cosine`, which
     the model scores with too, and |u|^2, |v|^2 here.
     """
-    dots = np.einsum("...ij,...ij->...i", u, v)[..., None]
+    swapped = x[..., ::-1, :, :]  # (v, u): a view, no copy
+    dots = np.einsum("...ij,...ij->...i", x[..., :1, :, :], x[..., 1:, :, :])[..., None]
     ratings = ratings[:, None]
     if mode == "dot":
-        g = -2.0 * (ratings - dots)
-        return g * v, g * u
-    nu2 = np.einsum("...ij,...ij->...i", u, u)[..., None]
-    nv2 = np.einsum("...ij,...ij->...i", v, v)[..., None]
-    c, denom = cosine(dots, nu2, nv2)
+        return -2.0 * (ratings - dots) * swapped
+    sq = np.einsum("...ij,...ij->...i", x, x)[..., None]
+    norms = np.sqrt(sq)
+    c, denom = cosine(dots, norms[..., :1, :, :], norms[..., 1:, :, :])
     g = -2.0 * (ratings / r_max - c) + 2.0 * beta * (c - 1.0 / m)
-    grad_u = g * (v / denom - c / np.maximum(nu2, NORM_EPSILON) * u)
-    grad_v = g * (u / denom - c / np.maximum(nv2, NORM_EPSILON) * v)
-    return grad_u, grad_v
+    return g * (swapped / denom - c / np.maximum(sq, NORM_EPSILON) * x)
 
 
 def full_loss(
@@ -164,10 +165,12 @@ def train_runs(
     dataset: RatingsDataset, configs: Sequence[TrainConfig]
 ) -> list[tuple[FactorModel, list[SampleLossBreakdown]] | RuntimeError]:
     """Train configs of one mode that differ only in `algorithm` and `beta`
-    (else ValueError) in lockstep, their factors stacked as U (R, n, k) and
-    V (R, m, k): one wave schedule per epoch, one gather, `gradients` call
-    and write-back per wave.  For each config, what :func:`train` returns
-    for it alone, bit for bit, or the RuntimeError it would raise."""
+    (else ValueError) in lockstep, all factors in one array F of shape
+    (R, n + m, k), each run's users first and then its items: one wave
+    schedule per epoch, and per wave one gather of the stacked (user, item)
+    pairs, one `gradients` call, one update and one write-back.  For each
+    config, what :func:`train` returns for it alone, bit for bit, or the
+    RuntimeError it would raise."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     if not configs:
@@ -180,10 +183,12 @@ def train_runs(
     betas = [c.beta if c.algorithm == "position_bias_mf" else 0.0 for c in configs]
     start = init_model(dataset.n, dataset.m, first.k, seed=first.seed,
                        scale=first.init_scale, mode=mode, r_max=dataset.r_max)
-    U, V = (np.repeat(f[None], len(configs), axis=0) for f in (start.U, start.V))
-    del start  # one run's factors are the stacks: keep no second copy
-    beta = np.array(betas)[:, None, None]
-    runs = [(FactorModel(U=U[r], V=V[r], mode=mode, r_max=dataset.r_max), [])
+    n = dataset.n
+    F = np.empty((len(configs), n + dataset.m, first.k))
+    F[:, :n], F[:, n:] = start.U, start.V  # no concatenated copy: peak memory as for U and V
+    del start  # one run's factors are F's rows: keep no second copy
+    beta = np.array(betas)[:, None, None, None]
+    runs = [(FactorModel(U=F[r, :n], V=F[r, n:], mode=mode, r_max=dataset.r_max), [])
             for r in range(len(configs))]
     errors: dict[int, RuntimeError] = {}
     # The shuffle stream is separate from the init stream so visit order
@@ -199,19 +204,17 @@ def train_runs(
                                dataset.n, dataset.m)
         order = order[np.argsort(waves, kind="stable")]
         bounds = np.bincount(waves).cumsum().tolist()  # wave w is order[bounds[w-1]:bounds[w]]
-        users, items, ratings = dataset.users[order], dataset.items[order], dataset.ratings[order]
+        rows = np.stack([dataset.users[order], dataset.items[order] + n])  # rows of F
+        ratings = dataset.ratings[order]
         # A runaway learning rate overflows factors to inf/nan; suppress the
         # per-op warnings and rely on the epoch-end divergence check instead.
         # A diverged run's rows go on as NaN, which touches no other run's.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
-                i, j = users[lo:hi], items[lo:hi]
-                u, v = np.take(U, i, axis=1), np.take(V, j, axis=1)  # copies, faster than U[:, i]
-                grad_u, grad_v = gradients(u, v, ratings[lo:hi], mode,
-                                           dataset.r_max, dataset.m, beta)
-                u -= lr * grad_u
-                v -= lr * grad_v
-                U[:, i], V[:, j] = u, v
+                at = rows[:, lo:hi]
+                x = np.take(F, at, axis=1)  # (R, 2, b, k); a copy, faster than F[:, at]
+                x -= lr * gradients(x, ratings[lo:hi], mode, dataset.r_max, dataset.m, beta)
+                F[:, at] = x
             for r, (model, history) in enumerate(runs):
                 if r not in errors:
                     history.append(full_loss(model, dataset, betas[r]))

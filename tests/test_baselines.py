@@ -122,6 +122,14 @@ class TestZipfScorer:
             scorer.scores_for_user(0), [1.0, 0.5, 1.0 / 3.0, 0.25, 0.2]
         )
 
+    def test_row_equals_pair_scores_of_the_full_user_column(self):
+        scorer = ZipfScorer(np.array([3, 1, 4, 2, 5]), r_max=5.0)
+        for i in (0, 1, 4, 2**40):
+            row = scorer.scores_for_user(i)
+            assert np.array_equal(row, scorer.pair_scores(np.full(5, i), np.arange(5)))
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+
     def test_user_independent(self):
         scorer = ZipfScorer(popularity_rank=np.array([2, 1, 3, 4]), r_max=5.0)
         assert np.array_equal(scorer.scores_for_user(0), scorer.scores_for_user(99))

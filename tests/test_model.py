@@ -352,13 +352,13 @@ def _cosine_model_with_zero_rows():
 
 
 class TestItemNormCache:
-    """A cosine model computes V's squared row norms once and guards them."""
+    """A cosine model computes the row norms of U and V once and guards them."""
 
     def test_rows_equal_uncached_expression_bit_for_bit(self):
         model = _cosine_model_with_zero_rows()
         U, V = model.U, model.V
-        want = [cosine(V @ U[i], np.einsum("j,j", U[i], U[i]),
-                       np.einsum("ij,ij->i", V, V))[0] for i in range(5)]
+        want = [cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])),
+                       np.sqrt(np.einsum("ij,ij->i", V, V)))[0] for i in range(5)]
         for _ in range(2):  # the first call fills the cache, the second reads it
             for i in range(5):
                 assert np.array_equal(model.scores_for_user(i), want[i])
@@ -384,6 +384,45 @@ class TestItemNormCache:
         model.V = other
         for i in range(5):
             assert np.array_equal(model.scores_for_user(i), fresh.scores_for_user(i))
+
+    def test_ranked_cosine_model_rejects_in_place_user_writes(self):
+        model = _cosine_model_with_zero_rows()
+        model.scores_for_user(0)
+        with pytest.raises(ValueError):
+            model.U[0, 0] = 1.0
+
+    def test_assigned_u_recomputes_the_norms(self):
+        model = _cosine_model_with_zero_rows()
+        model.scores_for_user(0)
+        other = np.random.default_rng(17).normal(size=(5, 4))
+        fresh = FactorModel(U=other, V=model.V, mode="cosine")
+        model.U = other
+        for i in range(5):
+            assert np.array_equal(model.scores_for_user(i), fresh.scores_for_user(i))
+
+    def test_rows_equal_per_user_expression_on_drawn_models(self):
+        # The cached user norms come from one einsum over U; up to k = 8,192
+        # they equal the per-user einsum("j,j") bit for bit.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(n=st.integers(1, 6), m=st.integers(1, 9),
+                          k=st.integers(1, 64) | st.just(8192), seed=st.integers(0, 2**32 - 1),
+                          zero_user=st.integers(0, 6), zero_item=st.integers(0, 9))
+        @hypothesis.example(n=3, m=4, k=8192, seed=0, zero_user=1, zero_item=2)
+        def check(n, m, k, seed, zero_user, zero_item):
+            rng = np.random.default_rng(seed)
+            U, V = rng.normal(size=(n, k)), rng.normal(size=(m, k))
+            U[zero_user:zero_user + 1] = 0.0  # past the last row: no zero row
+            V[zero_item:zero_item + 1] = 0.0
+            model = FactorModel(U=U, V=V, mode="cosine")
+            v_norm = np.sqrt(np.einsum("ij,ij->i", V, V))
+            for i in range(n):
+                want = cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])), v_norm)[0]
+                assert np.array_equal(model.scores_for_user(i), want)
+
+        check()
 
     def test_dot_model_keeps_v_writable(self):
         model = _cosine_model_with_zero_rows()

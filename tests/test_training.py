@@ -53,7 +53,7 @@ def plain_loss(u, v, rating, r_max, m, beta):
 
 def one_gradient(u, v, rating, mode, r_max=5.0, m=1, beta=0.0):
     """`gradients` on a batch of one sample, returned as two vectors."""
-    gu, gv = gradients(u[None], v[None], np.array([rating]), mode, r_max, m, beta)
+    gu, gv = gradients(np.stack([u[None], v[None]]), np.array([rating]), mode, r_max, m, beta)
     return gu[0], gv[0]
 
 
@@ -163,6 +163,53 @@ class TestClassicGradients:
             fu, fv = fd_gradients(loss_fn, u, v)
             assert relative_error(gu, fu) < 1e-6
             assert relative_error(gv, fv) < 1e-6
+
+
+def two_array_gradients(u, v, ratings, mode, r_max, m, beta):
+    """The kernel on separate (..., b, k) user and item rows: grad_u, grad_v."""
+    dots = np.einsum("...ij,...ij->...i", u, v)[..., None]
+    ratings = ratings[:, None]
+    if mode == "dot":
+        g = -2.0 * (ratings - dots)
+        return g * v, g * u
+    nu2 = np.einsum("...ij,...ij->...i", u, u)[..., None]
+    nv2 = np.einsum("...ij,...ij->...i", v, v)[..., None]
+    denom = np.maximum(np.sqrt(nu2) * np.sqrt(nv2), NORM_EPSILON)
+    c = dots / denom
+    g = -2.0 * (ratings / r_max - c) + 2.0 * beta * (c - 1.0 / m)
+    grad_u = g * (v / denom - c / np.maximum(nu2, NORM_EPSILON) * u)
+    grad_v = g * (u / denom - c / np.maximum(nv2, NORM_EPSILON) * v)
+    return grad_u, grad_v
+
+
+class TestStackedKernel:
+    def test_equals_two_array_kernel_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(runs=st.integers(1, 4), b=st.integers(1, 30), k=st.integers(1, 40),
+                          seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["dot", "cosine"]),
+                          zero_rows=st.sampled_from(["none", "users", "items", "both"]))
+        def check(runs, b, k, seed, mode, zero_rows):
+            rng = np.random.default_rng(seed)
+            u, v = rng.normal(size=(runs, b, k)), rng.normal(size=(runs, b, k))
+            # Zero rows put |u|^2, |v|^2 and |u| |v| on the NORM_EPSILON floor.
+            if zero_rows in ("users", "both"):
+                u[:, rng.random(b) < 0.3] = 0.0
+            if zero_rows in ("items", "both"):
+                v[:, rng.random(b) < 0.3] = 0.0
+            ratings = rng.uniform(1.0, 5.0, b)
+            m = int(rng.integers(1, 1000))
+            beta = rng.uniform(0.0, 2.0, runs)
+            want_u, want_v = two_array_gradients(u, v, ratings, mode, 5.0, m,
+                                                 beta[:, None, None])
+            got = gradients(np.stack([u, v], axis=1), ratings, mode, 5.0, m,
+                            beta[:, None, None, None])
+            assert got.shape == (runs, 2, b, k)
+            assert np.array_equal(got[:, 0], want_u) and np.array_equal(got[:, 1], want_v)
+
+        check()
 
 
 def small_dataset():
