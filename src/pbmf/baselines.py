@@ -29,13 +29,16 @@ class RandomScorer(Scorer):
     The seed keys a 64-bit hash, so it must lie in [0, 2**64).  The draws
     are counter-based: a value depends only on (seed, user, item), never on
     how many draws happened before, so evaluation order cannot change it.
+    Given the user count `n_users`, it scores ranking rows a block of users
+    at a time (see `model.Scorer`).
     """
 
-    def __init__(self, seed: int, n_items: int, r_max: float):
+    def __init__(self, seed: int, n_items: int, r_max: float, n_users: int | None = None):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         self.seed = int(seed)
         self.m = int(n_items)
+        self.n = None if n_users is None else int(n_users)
         self.r_max = float(r_max)
         with np.errstate(over="ignore"):
             self._seed_hash = _mix64(_U64(seed) ^ _GOLDEN)  # the same for every draw
@@ -48,11 +51,13 @@ class RandomScorer(Scorer):
             h = _mix64(h ^ np.asarray(items, dtype=np.uint64))
         return (h >> _U64(11)) * 2.0**-53
 
-    def scores_for_user(self, i: int) -> np.ndarray:
-        """pair_scores of user i against every item: the user's hash is mixed once."""
+    def score_rows(self, lo: int, hi: int) -> np.ndarray:
+        """pair_scores of users lo..hi-1 against every item: the users' hashes
+        are mixed once, as a column, then the grid against the items."""
         if self._items is None:
             self._items = np.arange(self.m, dtype=np.uint64)
-        return self.pair_scores(i, self._items)
+        users = np.arange(hi - lo, dtype=np.uint64) + _U64(lo)
+        return self.pair_scores(users[:, None], self._items)
 
 
 class ZipfScorer(Scorer):

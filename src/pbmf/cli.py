@@ -268,7 +268,7 @@ def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
     if algorithm == "classic_mf":
         return training.train(train_set, _train_config(args, algorithm, beta))[0]
     if algorithm == "random":
-        return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max)
+        return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max, train_set.n)
     return baselines.ZipfScorer.from_dataset(train_set)
 
 

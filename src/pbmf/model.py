@@ -29,23 +29,44 @@ CHUNK_BYTES = 256 * 1024
 # RANK_BLOCK_BYTES: 64 rows at m = 500, where 128-512 KiB ranked alike and 32 KiB
 # or 1 MiB slower.  Median of 15 pairs on one CPU: blocks took 0.63 of the
 # row-by-row time at m = 500, 0.94 at 1,000, 1.15 at 1,500 and 1.56 at 4,000.
+# Scorer.scores_for_user scores blocks of users of the same size where top_k
+# ranks in blocks; at m = 3,999, blocks of 8 users raised the peak RSS of
+# pbmf evaluate by 0.2 MB.
 RANK_BLOCK_BYTES = 256 * 1024
 BLOCK_RANK_MAX_M = 1000
 
 
-def cosine(dots: np.ndarray, u_norm: np.ndarray,
-           v_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cosine(dots: np.ndarray, u_norm: np.ndarray, v_norm: np.ndarray,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cosines u . v / max(|u| |v|, NORM_EPSILON) from the dot products and
-    norms of the pairs, and the denominators they were divided by."""
-    denom = np.maximum(u_norm * v_norm, NORM_EPSILON)
-    return dots / denom, denom
+    norms of the pairs, and the denominators they were divided by.  Given
+    `out` (`dots` itself, say), the cosines go there and the denominators
+    are floored in place, which spares a ranking block two temporaries."""
+    denom = u_norm * v_norm
+    denom = np.maximum(denom, NORM_EPSILON, out=None if out is None else denom)
+    return np.divide(dots, denom, out=out), denom
+
+
+def _block_rows(m: int) -> int:
+    """Rows of m float64 scores in about RANK_BLOCK_BYTES, at least one."""
+    return max(1, RANK_BLOCK_BYTES // (8 * max(1, m)))
 
 
 class Scorer:
     """What the metrics read of a scorer, derived from the subclass's
     `pair_scores(users, items)`, its `r_max` and its item count `m`.
-    A subclass that keeps `scores_for_user` below must let `pair_scores`
-    take one user index against an array of items."""
+
+    A scorer with a user count `n` and at most BLOCK_RANK_MAX_M items, the
+    rows `top_k` ranks in blocks, serves `scores_for_user(i)` as user i's
+    row of a read-only block of `score_rows(lo, hi)`, the users
+    lo = i - i % B onward and none past the last, with B from
+    RANK_BLOCK_BYTES as in `top_k`.  The block is scored at the first call
+    that needs it and kept until a call needs another block or the last
+    user's row is served; a subclass whose rows change drops it by setting
+    `_block` to None.  Any other scorer scores each call's user alone."""
+
+    n: int | None = None  # the user count, where the scorer has one
+    _block: tuple | None = None  # (lo, rows) of the block being served
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return self.pair_scores(users, items)
@@ -54,9 +75,30 @@ class Scorer:
         """Normalized scores mapped back to the rating scale [0, r_max]."""
         return np.clip(self.normalized_scores(users, items), 0.0, 1.0) * self.r_max
 
+    def score_rows(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo) x m ranking scores of users lo..hi-1: one
+        `pair_scores(i, np.arange(m))` per user, so `pair_scores` must take one
+        user index against an array of items."""
+        items = np.arange(self.m)
+        return np.stack([self.pair_scores(i, items) for i in range(lo, hi)])
+
     def scores_for_user(self, i: int) -> np.ndarray:
-        """Pair score of (i, j) for every item j, from one `pair_scores` call."""
-        return self.pair_scores(i, np.arange(self.m))
+        """Ranking score of every item for user i."""
+        if i < 0 and self.n is not None:
+            i += self.n  # counts from the last user, as a numpy index does
+        if self.n is None or self.m > BLOCK_RANK_MAX_M:  # top_k ranks such rows alone
+            return self.score_rows(i, i + 1)[0]
+        block = self._block
+        if block is None or not 0 <= i - block[0] < len(block[1]):
+            self._block = block = None  # free to go before the next block is scored
+            height = _block_rows(self.m)
+            lo = i - i % height
+            rows = self.score_rows(lo, min(lo + height, self.n))
+            rows.setflags(write=False)
+            block = self._block = (lo, rows)
+        if i + 1 == self.n:  # a pass over the users ends: the row alone keeps the block
+            self._block = None
+        return block[1][i - block[0]]
 
 
 @dataclass
@@ -70,10 +112,10 @@ class FactorModel(Scorer):
 
     A cosine model caches the row norms of U and of V at its first
     :meth:`scores_for_user` call and makes both read-only from then on, so
-    an in-place write raises ValueError instead of ranking with stale norms.
-    Change factors with ``dataclasses.replace(model, V=...)`` or a new
-    FactorModel; assigning a new array to ``U`` or ``V`` also recomputes
-    the norms.
+    an in-place write raises ValueError instead of ranking with stale norms
+    or a stale block of rows.  Change factors with
+    ``dataclasses.replace(model, V=...)`` or a new FactorModel; assigning a
+    new array to ``U`` or ``V`` also recomputes the norms and the block.
     """
 
     U: np.ndarray
@@ -133,20 +175,42 @@ class FactorModel(Scorer):
                                        np.sqrt(np.einsum("ij,ij->i", vs, vs)))[0]
         return scores
 
-    def scores_for_user(self, i: int) -> np.ndarray:
-        """Ranking score of every item for user i (mode-dependent).  One V @ u,
-        which can differ in the last bit from Scorer's per-pair scores.  In
-        cosine mode the first call caches the row norms of U and V for every
-        later call and makes both read-only."""
-        dots = self.V @ self.U[i]
+    def score_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Ranking scores of users lo..hi-1: U_i . V_j, over the cached row
+        norms in cosine mode.  np.matmul runs one V @ U_i per user, so a row
+        equals that user's own V @ U_i bit for bit (one matrix product of the
+        block does not) and can differ in the last bit from `pair_scores`."""
+        dots = np.matmul(self.V, self.U[lo:hi, :, None])[:, :, 0]
         if self.mode == "dot":
             return dots
+        _, _, u_norm, v_norm = self._cached_norms()
+        return cosine(dots, u_norm[lo:hi, None], v_norm, out=dots)[0]
+
+    def _cached_norms(self) -> tuple[np.ndarray, ...]:
+        """(U, V, U's row norms, V's), computed at the first call and again,
+        dropping the kept block, after a new array is assigned to U or V.
+        U and V turn read-only."""
         if self._norms is None or self._norms[0] is not self.U or self._norms[1] is not self.V:
             self.U.setflags(write=False)
             self.V.setflags(write=False)
             self._norms = (self.U, self.V, *(np.sqrt(np.einsum("ij,ij->i", f, f))
                                              for f in (self.U, self.V)))
-        return cosine(dots, self._norms[2][i], self._norms[3])[0]
+            self._block = None
+        return self._norms
+
+    def scores_for_user(self, i: int) -> np.ndarray:
+        """Ranking score of every item for user i: a row of a served block
+        (see Scorer) in cosine mode with up to BLOCK_RANK_MAX_M items, else
+        one V @ U_i.  Dot mode keeps no block: its factors stay writable, so
+        a kept block could go stale."""
+        if self.mode == "cosine" and self.m <= BLOCK_RANK_MAX_M:
+            self._cached_norms()  # drops a block scored from replaced factors
+            return super().scores_for_user(i)
+        dots = self.V @ self.U[i]
+        if self.mode == "dot":
+            return dots
+        _, _, u_norm, v_norm = self._cached_norms()
+        return cosine(dots, u_norm[i], v_norm)[0]
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score on the normalized [~0, 1] scale compared against 1/m: the
@@ -248,8 +312,10 @@ def top_k(
 
     `scorer` exposes scores_for_user(i), the score of every item for user i,
     called once per user in user order; its rows are only read, never
-    written.  `exclude` gives per-user item indices to leave out of the
-    lists (typically each user's training items).  NaN scores rank last.
+    written, so they may be views of a block the scorer keeps (see Scorer).
+    `exclude` gives per-user item indices to leave out of the lists
+    (typically each user's training items), one entry per user: another
+    length raises ValueError.  NaN scores rank last.
 
     Rows of up to BLOCK_RANK_MAX_M items are copied into blocks of about
     RANK_BLOCK_BYTES and ranked a block at a time, as numpy's per-call cost
@@ -259,17 +325,20 @@ def top_k(
     """
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
+    if exclude is not None and len(exclude) != n_users:
+        raise ValueError(f"exclude holds {len(exclude)} entries for {n_users} users")
     if n_users < 1:
         return TopKLists(items=[], scores=[])
     exclude = [np.empty(0, np.intp)] * n_users if exclude is None else exclude
     first = np.asarray(scorer.scores_for_user(0), dtype=np.float64)
-    rows = itertools.chain([first], map(scorer.scores_for_user, range(1, n_users)))
     m = first.shape[0]
+    rows = itertools.chain([first], map(scorer.scores_for_user, range(1, n_users)))
+    del first  # held by the chain alone, so a served block 0 can go once read
     if m <= k_top or m > BLOCK_RANK_MAX_M:
         lists = [_rank_row(np.asarray(row, dtype=np.float64), k_top, exclude[i])
                  for i, row in enumerate(rows)]
     else:
-        lists, block = [], np.empty((max(1, RANK_BLOCK_BYTES // (8 * m)), m))
+        lists, block = [], np.empty((_block_rows(m), m))
         for lo in range(0, n_users, len(block)):
             size = min(len(block), n_users - lo)
             for r in range(size):

@@ -9,6 +9,7 @@ from pbmf.model import (
     CHUNK_BYTES,
     NORM_EPSILON,
     FactorModel,
+    Scorer,
     cosine,
     init_model,
     load_model,
@@ -319,6 +320,59 @@ class TestTopK:
         top_k(spy, n_users=7, k_top=3)
         assert spy.calls == list(range(7))
 
+    @pytest.mark.parametrize("m", [12, model_module.BLOCK_RANK_MAX_M + 1])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_exclude_of_another_length_is_rejected(self, m, length):
+        with pytest.raises(ValueError, match=f"exclude holds {length} entries for 3 users"):
+            top_k(_StubScorer(np.zeros((3, m))), n_users=3, k_top=2, exclude=[[]] * length)
+
+    @pytest.mark.parametrize("m", [40, model_module.BLOCK_RANK_MAX_M + 1])
+    @pytest.mark.parametrize("kind", ["cosine", "random", "random_alone", "zipf"])
+    def test_lists_do_not_depend_on_the_block_size(self, monkeypatch, m, kind):
+        # 23 users: blocks of 1 and 3 rows, and one block of every user at the default.
+        n, rng = 23, np.random.default_rng(20)
+        U, V = rng.normal(size=(n, 8)), rng.normal(size=(m, 8))
+        ranks = rng.permutation(m) + 1
+        exclude = [rng.choice(m, size, replace=False) for size in rng.integers(0, 30, n)]
+
+        def lists():
+            scorer = {"cosine": lambda: FactorModel(U=U, V=V),
+                      "random": lambda: RandomScorer(seed=3, n_items=m, r_max=5.0, n_users=n),
+                      "random_alone": lambda: RandomScorer(seed=3, n_items=m, r_max=5.0),
+                      "zipf": lambda: ZipfScorer(popularity_rank=ranks, r_max=5.0)}[kind]()
+            got = top_k(scorer, n_users=n, k_top=10, exclude=exclude)
+            return [a.tobytes() for a in got.items + got.scores]
+
+        want = lists()
+        for rows in (1, 3):
+            monkeypatch.setattr(model_module, "RANK_BLOCK_BYTES", rows * 8 * m)
+            assert lists() == want
+
+    @pytest.mark.parametrize("m", [12, model_module.BLOCK_RANK_MAX_M + 1])
+    @pytest.mark.parametrize("block_rows", [2, None])
+    @pytest.mark.parametrize("user_count", [False, True])
+    def test_custom_scorer_over_per_user_rows(self, monkeypatch, m, block_rows, user_count):
+        # pair_scores, r_max and m alone, as the README's custom scorer; with
+        # a user count n it is served blocks that stop at the last user.
+        class ArrayScorer(Scorer):
+            def __init__(self, rows):
+                self.rows, self.m, self.r_max = rows, rows.shape[1], 5.0
+                if user_count:
+                    self.n = len(rows)
+
+            def pair_scores(self, users, items):
+                return self.rows[users, items]
+
+        if block_rows is not None:
+            monkeypatch.setattr(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * m)
+        rng = np.random.default_rng(21)
+        scorer = ArrayScorer(rng.random((5, m)))
+        for _ in range(2):  # new rows between two passes are ranked, not stale ones
+            lists = top_k(scorer, n_users=5, k_top=3)
+            for i, row in enumerate(scorer.rows):
+                assert lists.items[i].tolist() == np.argsort(-row, kind="stable")[:3].tolist()
+            scorer.rows = rng.random((5, m))
+
     def test_no_users_scores_nobody(self):
         spy = _SpyScorer(np.zeros((0, 4)))
         assert len(top_k(spy, n_users=0, k_top=2)) == 0
@@ -423,6 +477,28 @@ class TestItemNormCache:
                 assert np.array_equal(model.scores_for_user(i), want)
 
         check()
+
+    def test_negative_user_counts_from_the_last(self):
+        model = _cosine_model_with_zero_rows()
+        for i in (-1, -5):
+            assert np.array_equal(model.scores_for_user(i), model.scores_for_user(5 + i))
+
+    def test_wide_rows_are_scored_alone(self):
+        # top_k ranks rows of more than BLOCK_RANK_MAX_M items one at a time,
+        # so no scorer keeps a block of them.
+        m = model_module.BLOCK_RANK_MAX_M + 1
+        rng = np.random.default_rng(22)
+        U, V = rng.normal(size=(3, 4)), rng.normal(size=(m, 4))
+        model = FactorModel(U=U, V=V)
+        random = RandomScorer(seed=1, n_items=m, r_max=5.0, n_users=3)
+        for i in (0, 2, -1):
+            row = model.scores_for_user(i)
+            want = cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])),
+                          np.sqrt(np.einsum("ij,ij->i", V, V)))[0]
+            assert row.tobytes() == want.tobytes() and model._block is None
+            row = random.scores_for_user(i)
+            assert row.tobytes() == random.pair_scores(i % 3, np.arange(m)).tobytes()
+            assert random._block is None
 
     def test_dot_model_keeps_v_writable(self):
         model = _cosine_model_with_zero_rows()

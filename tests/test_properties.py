@@ -2,7 +2,8 @@
 against one SGD step at a time, `items_by_user` against a grouping in file
 order, `split` against a set-based filter of the held-out rows, `top_k`
 against a plain `sorted` and a full stable `argsort`, also across many
-blocks, the Matthew degree against its formula, the rating-file writer
+blocks, the score rows the scorers serve from blocks against one user's
+row at a time, the Matthew degree against its formula, the rating-file writer
 against the loader, both loaders against a row-by-row reference, the
 block-parsing MovieLens loader against a line-by-line one on drawn raw
 lines, and the CLI against drawn rating and config files and drawn argv
@@ -22,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pbmf import cli, data, model as model_module  # noqa: E402
+from pbmf.baselines import RandomScorer  # noqa: E402
 from pbmf.data import SplitSpec, load_csv, load_movielens, split  # noqa: E402
 from pbmf.metrics import MATTHEW_VARIANTS, matthew_degree  # noqa: E402
 from pbmf.model import TopKLists, top_k  # noqa: E402
@@ -236,6 +238,79 @@ def test_top_k_in_blocks_matches_stable_argsort(case):
         want = order[~np.isin(order, [] if exclude is None else exclude[i])][:k_top]
         assert lists.items[i].tolist() == want.tolist()
         np.testing.assert_array_equal(lists.scores[i], row[want])
+
+
+@st.composite
+def served_row_cases(draw):
+    """A cosine model, a dot model or a RandomScorer (with its seed and
+    user count) over n users and m items, zero factor rows included, a block of 1-3 rows, and
+    the users asked for: forward, backward or drawn, each asked once or
+    twice in a row.  A model gets a new U or V at a drawn call, assigned in
+    cosine mode and written in place in dot mode."""
+    kind = draw(st.sampled_from(["cosine", "dot", "random"]))
+    n, m, k = draw(st.integers(1, 8)), draw(st.integers(1, 9)), draw(st.integers(1, 8) | st.just(64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, V = rng.normal(size=(n, k)), rng.normal(size=(m, k))
+    zero_user, zero_item = draw(st.integers(0, n)), draw(st.integers(0, m))
+    U[zero_user:zero_user + 1] = 0.0  # past the last row: no zero row
+    V[zero_item:zero_item + 1] = 0.0
+    direction = draw(st.sampled_from(["forward", "backward", "drawn"]))
+    if direction == "drawn":
+        users = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+    else:
+        users = range(n) if direction == "forward" else range(n - 1, -1, -1)
+    order = [i for i in users for _ in range(draw(st.integers(1, 2)))]
+    change = None
+    if kind != "random" and draw(st.booleans()):
+        name = draw(st.sampled_from(["U", "V"]))
+        change = (draw(st.integers(0, len(order) - 1)), name,
+                  rng.normal(size=(n if name == "U" else m, k)))
+    return kind, U, V, draw(st.integers(0, 2**64 - 1)), order, draw(st.integers(1, 3)), change
+
+
+def served_row_oracle(scorer, i):
+    """The row a scorer owes user i, from its current factors, one user at a time."""
+    if isinstance(scorer, RandomScorer):
+        return scorer.pair_scores(i, np.arange(scorer.m))
+    U, V = scorer.U, scorer.V
+    if scorer.mode == "dot":
+        return V @ U[i]
+    return model_module.cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])),
+                               np.sqrt(np.einsum("ij,ij->i", V, V)))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=served_row_cases())
+@example(case=("cosine", np.ones((7, 2)), np.eye(2), 0, [6, 5, 4, 3, 2, 1, 0], 3,
+               (3, "U", np.arange(14.0).reshape(7, 2))))
+def test_served_rows_equal_per_user_rows(case):
+    kind, U, V, seed, order, block_rows, change = case
+    m = len(V)
+    scorer = (RandomScorer(seed=seed, n_items=m, r_max=5.0, n_users=len(U))
+              if kind == "random" else model_module.FactorModel(U=U, V=V, mode=kind))
+    calls = []
+    score_rows = scorer.score_rows
+    scorer.score_rows = lambda lo, hi: calls.append((lo, hi)) or score_rows(lo, hi)
+    scored = 0  # calls that must score a block: a new block, new factors, or after the last user
+    with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * m):
+        for t, i in enumerate(order):
+            if change is not None and t == change[0]:
+                if kind == "cosine":
+                    setattr(scorer, change[1], change[2])
+                else:
+                    getattr(scorer, change[1])[:] = change[2]
+            row = scorer.scores_for_user(i)
+            want = served_row_oracle(scorer, i)
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+            if kind != "dot":
+                assert not row.flags.writeable
+                scored += (t == 0 or i // block_rows != order[t - 1] // block_rows
+                           or (change is not None and t == change[0])
+                           or order[t - 1] == len(U) - 1)
+    assert len(calls) == scored  # a dot model scores no block
+    for lo, hi in calls:
+        assert lo % block_rows == 0
+        assert hi == min(lo + block_rows, len(U))
 
 
 @settings(max_examples=100, deadline=None)
