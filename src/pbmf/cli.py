@@ -18,6 +18,7 @@ import contextlib
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -309,34 +310,49 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_key(algorithm: str, beta: float) -> tuple[str, float]:
+    """The run a row's metrics come from: `cosine_mf` is `position_bias_mf`
+    at beta 0, so the lockstep algorithms share a key per beta."""
+    return ("cosine" if algorithm in LOCKSTEP_ALGORITHMS else algorithm, beta)
+
+
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    """One split, one row per run: each algorithm once, position_bias_mf per beta."""
+    """One split, one row per algorithm and, for position_bias_mf, per beta.
+    Each distinct run is trained and evaluated once, and its report fills
+    every row it measures with the row's own algorithm and beta: `cosine_mf`
+    and `position_bias_mf` at beta 0 are one run, as is a repeated algorithm
+    or beta.  The distinct cosine-mode runs train in one `training.train_runs`
+    call; a failed run writes its error cell on each of its rows."""
     train_set, test_set = _split_dataset(args)
-    runs = [(algorithm, beta) for algorithm in args.algorithms
+    rows = [(algorithm, beta) for algorithm in args.algorithms
             for beta in (args.beta if algorithm == "position_bias_mf" else [0.0])]
-    lockstep = [_train_config(args, a, b) for a, b in runs if a in LOCKSTEP_ALGORITHMS]
+    runs: dict[tuple[str, float], tuple[str, float]] = {}  # key -> its first row
+    for algorithm, beta in rows:
+        runs.setdefault(_run_key(algorithm, beta), (algorithm, beta))
+    lockstep = [_train_config(args, a, b) for a, b in runs.values() if a in LOCKSTEP_ALGORITHMS]
     try:
         trained = iter(training.train_runs(train_set, lockstep) if lockstep else [])
-    except MemoryError as exc:  # every run it would have trained fails alike
+    except (ValueError, MemoryError) as exc:  # every run it would have trained fails alike
         trained = iter([exc] * len(lockstep))
-    rows: list[list[str]] = []
-    had_error = False
-    for algorithm, beta in runs:
+    results: dict[tuple[str, float], tuple[metrics.MetricsReport, BaseException | None]] = {}
+    for key, (algorithm, beta) in runs.items():
         # Baselines have no latent dimension and no epochs, failed or not.
         k_used, epochs_used = ((args.k, args.epochs) if algorithm in training.ALGORITHMS
                                else (0, 0))
         run = dict(algorithm=algorithm, beta=beta, k=k_used, epochs=epochs_used, seed=args.seed)
         try:
             scorer = _make_scorer(algorithm, beta, train_set, args, trained)
-            report = metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
-                                          args.matthew_variant, **run)
-            rows.append(metrics.report_row(report) + [""])
+            results[key] = (metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
+                                                 args.matthew_variant, **run), None)
         except (ValueError, RuntimeError, MemoryError) as exc:
-            had_error = True
-            failed = metrics.MetricsReport(**run, k_top=args.k_top)
-            rows.append(metrics.report_row(failed) + [str(exc)])
-    _write_csv(args.output, metrics.REPORT_COLUMNS + ["error"], rows)
-    return 1 if had_error else 0
+            results[key] = (metrics.MetricsReport(**run, k_top=args.k_top), exc)
+    table = []
+    for algorithm, beta in rows:
+        report, exc = results[_run_key(algorithm, beta)]
+        table.append(metrics.report_row(replace(report, algorithm=algorithm, beta=beta))
+                     + ["" if exc is None else str(exc)])
+    _write_csv(args.output, metrics.REPORT_COLUMNS + ["error"], table)
+    return 1 if any(exc is not None for _, exc in results.values()) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

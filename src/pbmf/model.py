@@ -83,20 +83,31 @@ class Scorer:
         return np.stack([self.pair_scores(i, items) for i in range(lo, hi)])
 
     def scores_for_user(self, i: int) -> np.ndarray:
-        """Ranking score of every item for user i."""
-        if i < 0 and self.n is not None:
-            i += self.n  # counts from the last user, as a numpy index does
-        if self.n is None or self.m > BLOCK_RANK_MAX_M:  # top_k ranks such rows alone
+        """Ranking score of every item for user i.  With a user count n, a
+        negative i counts from the last user, as a numpy index does, and an i
+        outside [-n, n) raises IndexError."""
+        n = self.n
+        if n is None:
+            return self.score_rows(i, i + 1)[0]
+        if i < 0:
+            i += n
+            if i < 0:
+                raise IndexError(f"index {i - n} is out of bounds for {n} users")
+        if self.m > BLOCK_RANK_MAX_M:  # top_k ranks such rows alone
+            if i >= n:
+                raise IndexError(f"index {i} is out of bounds for {n} users")
             return self.score_rows(i, i + 1)[0]
         block = self._block
         if block is None or not 0 <= i - block[0] < len(block[1]):
+            if i >= n:  # checked on a block miss only, so a served row pays nothing
+                raise IndexError(f"index {i} is out of bounds for {n} users")
             self._block = block = None  # free to go before the next block is scored
             height = _block_rows(self.m)
             lo = i - i % height
-            rows = self.score_rows(lo, min(lo + height, self.n))
+            rows = self.score_rows(lo, min(lo + height, n))
             rows.setflags(write=False)
             block = self._block = (lo, rows)
-        if i + 1 == self.n:  # a pass over the users ends: the row alone keeps the block
+        if i + 1 == n:  # a pass over the users ends: the row alone keeps the block
             self._block = None
         return block[1][i - block[0]]
 

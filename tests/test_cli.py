@@ -13,10 +13,10 @@ import pytest
 from pbmf.cli import build_parser, main
 from pbmf.data import SplitSpec, load_movielens, split
 from pbmf.metrics import (REPORT_COLUMNS, evaluate_all, format_value, mae, matthew_degree,
-                          position_bias_metric)
+                          position_bias_metric, report_row)
 from pbmf.model import init_model, load_model, save_model, top_k
 from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
-from pbmf.training import TrainConfig, train
+from pbmf.training import TrainConfig, train, train_runs
 
 
 @pytest.fixture
@@ -344,6 +344,23 @@ class TestBenchmarkCommand:
         assert "allocate" in rows[0]["error"] and rows[0]["mae"] == ""
         assert rows[1]["algorithm"] == "zipf" and rows[1]["error"] == ""
 
+    def test_too_big_k_recorded_on_every_lockstep_row(self, ratings_file, tmp_path):
+        # numpy refuses an array this size with ValueError, not MemoryError.
+        out = tmp_path / "results.csv"
+        code = main([
+            "benchmark", "--input", str(ratings_file),
+            "--algorithms", "cosine_mf,position_bias_mf,zipf", "--beta", "0,1",
+            "--k", str(2**60), "--output", str(out),
+        ])
+        assert code == 1
+        rows = read_csv_rows(out)
+        assert [(r["algorithm"], r["beta"]) for r in rows] == [
+            ("cosine_mf", "0"), ("position_bias_mf", "0"), ("position_bias_mf", "1"), ("zipf", "0")]
+        errors = {r["error"] for r in rows[:3]}
+        assert len(errors) == 1 and errors.pop() != ""
+        assert all(r["mae"] == "" and r["k"] == str(2**60) for r in rows[:3])
+        assert rows[3]["error"] == "" and rows[3]["mae"] != ""
+
     def test_random_seed_beyond_64_bits_recorded(self, ratings_file, tmp_path):
         # The random baseline hashes its seed as a 64-bit word; without the
         # range check, 2**64 escapes as an OverflowError traceback.
@@ -394,6 +411,93 @@ class TestBenchmarkCommand:
         ]) == 0
         sizes = {r["test_size"] for r in read_csv_rows(out)}
         assert len(sizes) == 1
+
+    def test_shared_rows_match_runs_trained_alone(self, ratings_file, tmp_path):
+        # Rows that share a run (cosine_mf and beta 0, a repeated beta, a
+        # repeated baseline) must still equal their own config trained alone:
+        # this is the check that a kernel breaking beta = 0 == cosine fails.
+        from pbmf.baselines import ZipfScorer
+
+        out = tmp_path / "results.csv"
+        seed, k, epochs = 11, 4, 3
+        assert main([
+            "benchmark", "--input", str(ratings_file),
+            "--algorithms", "classic_mf,cosine_mf,position_bias_mf,zipf,zipf",
+            "--beta", "0,0.5,0.5", "--k", str(k), "--epochs", str(epochs),
+            "--seed", str(seed), "--k-top", "5", "--output", str(out),
+        ]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == REPORT_COLUMNS + ["error"]
+
+        train_set, test_set = split(load_movielens(ratings_file), SplitSpec(0.2, seed=seed))
+        expected = []
+        for algorithm, beta in [("classic_mf", 0.0), ("cosine_mf", 0.0),
+                                ("position_bias_mf", 0.0), ("position_bias_mf", 0.5),
+                                ("position_bias_mf", 0.5), ("zipf", 0.0), ("zipf", 0.0)]:
+            if algorithm == "zipf":
+                scorer, run = ZipfScorer.from_dataset(train_set), dict(k=0, epochs=0)
+            else:
+                scorer, _ = train(train_set, TrainConfig(algorithm=algorithm, beta=beta, k=k,
+                                                         epochs=epochs, seed=seed))
+                run = dict(k=k, epochs=epochs)
+            report = evaluate_all(scorer, train_set, test_set, k_top=5, algorithm=algorithm,
+                                  beta=beta, seed=seed, **run)
+            expected.append(report_row(report) + [""])
+        assert rows == expected
+
+    @staticmethod
+    def _spy_runs(monkeypatch):
+        """Record the configs of each train_runs call and the algorithm of
+        each evaluate_all call, passing both calls through."""
+        calls = {"train_runs": [], "evaluate_all": []}
+
+        def spy_train_runs(dataset, configs):
+            calls["train_runs"].append([(c.algorithm, c.beta) for c in configs])
+            return train_runs(dataset, configs)
+
+        def spy_evaluate_all(*args, **kwargs):
+            calls["evaluate_all"].append(kwargs["algorithm"])
+            return evaluate_all(*args, **kwargs)
+
+        monkeypatch.setattr("pbmf.training.train_runs", spy_train_runs)
+        monkeypatch.setattr("pbmf.metrics.evaluate_all", spy_evaluate_all)
+        return calls
+
+    def test_default_sweep_computes_each_distinct_run_once(self, ratings_file, tmp_path,
+                                                           monkeypatch):
+        calls = self._spy_runs(monkeypatch)
+        out = tmp_path / "results.csv"
+        assert main(["benchmark", "--input", str(ratings_file), "--k", "4", "--epochs", "2",
+                     "--output", str(out)]) == 0
+        rows = read_csv_rows(out)
+        assert [(r["algorithm"], r["beta"]) for r in rows] == [
+            ("classic_mf", "0"), ("cosine_mf", "0"), ("position_bias_mf", "0"),
+            ("position_bias_mf", "0.1"), ("position_bias_mf", "1"), ("random", "0"),
+            ("zipf", "0")]
+        lockstep = [c for c in calls["train_runs"] if c[0][0] != "classic_mf"]  # not train's
+        assert lockstep == [[("cosine_mf", 0.0), ("position_bias_mf", 0.1),
+                             ("position_bias_mf", 1.0)]]
+        assert calls["evaluate_all"] == ["classic_mf", "cosine_mf", "position_bias_mf",
+                                         "position_bias_mf", "random", "zipf"]
+        assert rows[2] == {**rows[1], "algorithm": "position_bias_mf"}
+
+    def test_repeated_diverging_beta_is_one_run(self, tmp_path, monkeypatch):
+        calls = self._spy_runs(monkeypatch)
+        sample = Path(__file__).resolve().parent / "data" / "ml1m_sample.dat"
+        args = ["benchmark", "--input", str(sample), "--algorithms", "cosine_mf,position_bias_mf",
+                "--k", "2", "--epochs", "1"]
+        diverged, kept = tmp_path / "diverged.csv", tmp_path / "kept.csv"
+        assert main(args + ["--beta", "0,1e200,1e200", "--output", str(diverged)]) == 1
+        assert calls["train_runs"] == [[("cosine_mf", 0.0), ("position_bias_mf", 1e200)]]
+        assert calls["evaluate_all"] == ["cosine_mf"]
+        assert main(args + ["--beta", "0", "--output", str(kept)]) == 0
+        lines = diverged.read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[:3] == kept.read_text().splitlines()
+        rows = read_csv_rows(diverged)
+        assert rows[2] == rows[3]
+        assert rows[2]["error"].startswith("training diverged at epoch 1")
 
 
 def test_report_rows_cell_by_cell(ratings_file, tmp_path):

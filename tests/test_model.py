@@ -483,6 +483,22 @@ class TestItemNormCache:
         for i in (-1, -5):
             assert np.array_equal(model.scores_for_user(i), model.scores_for_user(5 + i))
 
+    @pytest.mark.parametrize("m", [4, model_module.BLOCK_RANK_MAX_M + 1])
+    @pytest.mark.parametrize("make", [
+        lambda m: init_model(5, m, 3, seed=0),
+        lambda m: init_model(5, m, 3, seed=0, mode="dot"),
+        lambda m: RandomScorer(1, m, 5.0, 5),
+    ], ids=["cosine", "dot", "random"])
+    def test_user_outside_the_users_raises_index_error(self, make, m):
+        # Below -n the block's start came out negative: an IndexError about
+        # an empty block, or an OverflowError from the random hash.
+        scorer = make(m)
+        for i in (-6, -100, 5, 9):
+            with pytest.raises(IndexError, match=rf"index {i} is out of bounds .*\b5\b"):
+                scorer.scores_for_user(i)
+        for i in (-5, -1):  # the user i + 5, and the scorer still serves its rows
+            assert np.array_equal(scorer.scores_for_user(i), scorer.scores_for_user(5 + i))
+
     def test_wide_rows_are_scored_alone(self):
         # top_k ranks rows of more than BLOCK_RANK_MAX_M items one at a time,
         # so no scorer keeps a block of them.
