@@ -45,15 +45,22 @@ class RandomScorer(Scorer):
         self._items: np.ndarray | None = None  # arange(m) as uint64, made at the first row
 
     def pair_scores(self, users, items) -> np.ndarray:
-        """Uniform [0, 1) draws keyed on (seed, user, item)."""
+        """Uniform [0, 1) draws keyed on (seed, user, item).  A negative user
+        or item raises IndexError: as a 64-bit word it would be another index."""
+        users, items = np.asarray(users), np.asarray(items)
+        for name, indices in (("user", users), ("item", items)):
+            if indices.dtype.kind != "u" and (indices < 0).any():
+                raise IndexError(f"negative {name} index {indices[indices < 0].flat[0]}")
         with np.errstate(over="ignore"):
-            h = _mix64(self._seed_hash ^ np.asarray(users, dtype=np.uint64))
-            h = _mix64(h ^ np.asarray(items, dtype=np.uint64))
+            h = _mix64(self._seed_hash ^ users.astype(np.uint64))
+            h = _mix64(h ^ items.astype(np.uint64))
         return (h >> _U64(11)) * 2.0**-53
 
     def score_rows(self, lo: int, hi: int) -> np.ndarray:
         """pair_scores of users lo..hi-1 against every item: the users' hashes
         are mixed once, as a column, then the grid against the items."""
+        if lo < 0:
+            raise IndexError(f"negative user index {lo}")
         if self._items is None:
             self._items = np.arange(self.m, dtype=np.uint64)
         users = np.arange(hi - lo, dtype=np.uint64) + _U64(lo)

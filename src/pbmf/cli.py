@@ -20,13 +20,12 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from . import baselines, data, metrics, training
 from .model import load_model, save_model
 
 BENCHMARK_ALGORITHMS = training.ALGORITHMS + ("random", "zipf")
-LOCKSTEP_ALGORITHMS = ("cosine_mf", "position_bias_mf")  # benchmark trains them in one train_runs
 
 
 def _number(cast: type, ok: Callable[[Any], bool], expected: str) -> Callable[[str], Any]:
@@ -258,16 +257,14 @@ def _train_config(args: argparse.Namespace, algorithm: str,
     )
 
 
-def _make_scorer(algorithm: str, beta: float, train_set: data.RatingsDataset,
-                 args: argparse.Namespace, trained: Iterator) -> object:
-    """The next lockstep-trained model, classic_mf trained alone, or a baseline."""
-    if algorithm in LOCKSTEP_ALGORITHMS:
-        result = next(trained)
-        if isinstance(result, BaseException):
-            raise result
-        return result[0]
-    if algorithm == "classic_mf":
-        return training.train(train_set, _train_config(args, algorithm, beta))[0]
+def _make_scorer(algorithm: str, train_set: data.RatingsDataset, args: argparse.Namespace,
+                 trained: object) -> object:
+    """The model of a trained run (`trained`, the run's result or the error
+    it raised), or a baseline."""
+    if algorithm in training.ALGORITHMS:
+        if isinstance(trained, BaseException):
+            raise trained
+        return trained[0]
     if algorithm == "random":
         return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max, train_set.n)
     return baselines.ZipfScorer.from_dataset(train_set)
@@ -312,8 +309,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _run_key(algorithm: str, beta: float) -> tuple[str, float]:
     """The run a row's metrics come from: `cosine_mf` is `position_bias_mf`
-    at beta 0, so the lockstep algorithms share a key per beta."""
-    return ("cosine" if algorithm in LOCKSTEP_ALGORITHMS else algorithm, beta)
+    at beta 0, so the two share a key."""
+    return ("position_bias_mf" if algorithm == "cosine_mf" else algorithm, beta)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -321,19 +318,21 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     Each distinct run is trained and evaluated once, and its report fills
     every row it measures with the row's own algorithm and beta: `cosine_mf`
     and `position_bias_mf` at beta 0 are one run, as is a repeated algorithm
-    or beta.  The distinct cosine-mode runs train in one `training.train_runs`
-    call; a failed run writes its error cell on each of its rows."""
+    or beta.  The distinct trained runs, dot and cosine mode, train in one
+    `training.train_runs` call, and each row finds its run's result by its
+    key; a failed run writes its error cell on each of its rows."""
     train_set, test_set = _split_dataset(args)
     rows = [(algorithm, beta) for algorithm in args.algorithms
             for beta in (args.beta if algorithm == "position_bias_mf" else [0.0])]
     runs: dict[tuple[str, float], tuple[str, float]] = {}  # key -> its first row
     for algorithm, beta in rows:
         runs.setdefault(_run_key(algorithm, beta), (algorithm, beta))
-    lockstep = [_train_config(args, a, b) for a, b in runs.values() if a in LOCKSTEP_ALGORITHMS]
+    keys = [key for key, (algorithm, _) in runs.items() if algorithm in training.ALGORITHMS]
+    configs = [_train_config(args, *runs[key]) for key in keys]
     try:
-        trained = iter(training.train_runs(train_set, lockstep) if lockstep else [])
+        trained = dict(zip(keys, training.train_runs(train_set, configs) if configs else []))
     except (ValueError, MemoryError) as exc:  # every run it would have trained fails alike
-        trained = iter([exc] * len(lockstep))
+        trained = dict.fromkeys(keys, exc)
     results: dict[tuple[str, float], tuple[metrics.MetricsReport, BaseException | None]] = {}
     for key, (algorithm, beta) in runs.items():
         # Baselines have no latent dimension and no epochs, failed or not.
@@ -341,7 +340,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                                else (0, 0))
         run = dict(algorithm=algorithm, beta=beta, k=k_used, epochs=epochs_used, seed=args.seed)
         try:
-            scorer = _make_scorer(algorithm, beta, train_set, args, trained)
+            scorer = _make_scorer(algorithm, train_set, args, trained.get(key))
             results[key] = (metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
                                                  args.matthew_variant, **run), None)
         except (ValueError, RuntimeError, MemoryError) as exc:

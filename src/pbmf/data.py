@@ -193,9 +193,12 @@ def load_movielens(path: str | Path) -> RatingsDataset:
                 # str.count and str.split find the same "::" matches, so a
                 # line has four fields exactly when it holds three.
                 counts = list(map(str.count, lines, repeat("::")))
-                rows = list(compress(lines, map((3).__eq__, counts)))
-                malformed += sum(1 for line in compress(lines, map((3).__ne__, counts))
-                                 if line.strip())
+                if counts.count(3) == len(counts):  # the usual block: no line to drop
+                    rows = lines
+                else:
+                    rows = list(compress(lines, map((3).__eq__, counts)))
+                    malformed += sum(1 for line in compress(lines, map((3).__ne__, counts))
+                                     if line.strip())
                 text = "".join(rows)  # with every line ending in "\n", four fields a line
                 fields = (text if text.endswith("\n") else text + "\n"
                           ).replace("::", "\n").split("\n")

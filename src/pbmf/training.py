@@ -19,7 +19,8 @@ finite differences in the test suite.  With beta = 0 the penalty path is
 the cosine path, down to the bit: ``position_bias_mf`` at beta = 0 and
 ``cosine_mf`` run the exact same arithmetic.
 ``train`` is ``train_runs`` of one config; ``train_runs`` trains configs
-of one mode that differ only in ``algorithm`` and ``beta`` in lockstep.
+that differ only in ``algorithm`` and ``beta``, dot and cosine mode mixed,
+in lockstep.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def train(
     with both gradients evaluated at the pre-update values.  The run is
     bit-deterministic for a fixed (dataset, config).  A non-finite epoch
     loss raises :class:`RuntimeError`.  This is :func:`train_runs` of one config;
-    that trains configs of one mode differing only in `algorithm` and `beta`.
+    that trains configs differing only in `algorithm` and `beta`, of either
+    mode, in one call.
     """
     result = train_runs(dataset, [config])[0]
     if isinstance(result, RuntimeError):
@@ -164,32 +166,36 @@ def train(
 def train_runs(
     dataset: RatingsDataset, configs: Sequence[TrainConfig]
 ) -> list[tuple[FactorModel, list[SampleLossBreakdown]] | RuntimeError]:
-    """Train configs of one mode that differ only in `algorithm` and `beta`
-    (else ValueError) in lockstep, all factors in one array F of shape
-    (R, n + m, k), each run's users first and then its items: one wave
-    schedule per epoch, and per wave one gather of the stacked (user, item)
-    pairs, one `gradients` call, one update and one write-back.  For each
-    config, what :func:`train` returns for it alone, bit for bit, or the
-    RuntimeError it would raise."""
+    """Train configs that differ only in `algorithm` and `beta` (else
+    ValueError) in lockstep, dot and cosine mode mixed, all factors in one
+    array F of shape (R, n + m, k), the dot-mode runs first, each run's users
+    first and then its items: one wave schedule per epoch, and per wave one
+    gather of the stacked (user, item) pairs, one `gradients` call and one
+    update for each mode's slice of the runs, and one write-back.  For each
+    config, in input order, what :func:`train` returns for it alone, bit for
+    bit, or the RuntimeError it would raise."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     if not configs:
         raise ValueError("lockstep training needs at least one config")
     first = configs[0]
-    mode = "dot" if first.algorithm == "classic_mf" else "cosine"
-    if any(replace(c, algorithm=first.algorithm, beta=first.beta) != first
-           or (c.algorithm == "classic_mf") != (mode == "dot") for c in configs):
-        raise ValueError("lockstep configs must share a mode and all but algorithm and beta")
-    betas = [c.beta if c.algorithm == "position_bias_mf" else 0.0 for c in configs]
-    start = init_model(dataset.n, dataset.m, first.k, seed=first.seed,
-                       scale=first.init_scale, mode=mode, r_max=dataset.r_max)
+    if any(replace(c, algorithm=first.algorithm, beta=first.beta) != first for c in configs):
+        raise ValueError("lockstep configs must share all but algorithm and beta")
+    # Run r of F trains configs[slot[r]]: the dot-mode runs first, so each
+    # mode's runs are one contiguous slice of F.
+    slot = sorted(range(len(configs)), key=lambda c: configs[c].algorithm != "classic_mf")
+    dot = sum(c.algorithm == "classic_mf" for c in configs)
+    betas = [configs[c].beta if configs[c].algorithm == "position_bias_mf" else 0.0 for c in slot]
+    start = init_model(dataset.n, dataset.m, first.k, seed=first.seed, scale=first.init_scale)
     n = dataset.n
     F = np.empty((len(configs), n + dataset.m, first.k))
     F[:, :n], F[:, n:] = start.U, start.V  # no concatenated copy: peak memory as for U and V
     del start  # one run's factors are F's rows: keep no second copy
-    beta = np.array(betas)[:, None, None, None]
-    runs = [(FactorModel(U=F[r, :n], V=F[r, n:], mode=mode, r_max=dataset.r_max), [])
-            for r in range(len(configs))]
+    modes = [(mode, part, np.array(betas[part])[:, None, None, None])
+             for mode, part in (("dot", slice(0, dot)), ("cosine", slice(dot, len(configs))))
+             if part.start < part.stop]
+    runs = [(FactorModel(U=F[r, :n], V=F[r, n:], mode="dot" if r < dot else "cosine",
+                         r_max=dataset.r_max), []) for r in range(len(configs))]
     errors: dict[int, RuntimeError] = {}
     # The shuffle stream is separate from the init stream so visit order
     # never depends on how many factors were drawn.
@@ -202,8 +208,11 @@ def train_runs(
         # running the waves in turn is the shuffled order up to float rounding.
         waves = _wave_schedule(dataset.users[order].tolist(), dataset.items[order].tolist(),
                                dataset.n, dataset.m)
-        order = order[np.argsort(waves, kind="stable")]
-        bounds = np.bincount(waves).cumsum().tolist()  # wave w is order[bounds[w-1]:bounds[w]]
+        sizes = np.bincount(waves)
+        # The stable order is the same in any dtype; below 65,536 waves numpy
+        # radix-sorts the narrow one.
+        order = order[np.argsort(waves.astype(np.min_scalar_type(len(sizes))), kind="stable")]
+        bounds = sizes.cumsum().tolist()  # wave w is order[bounds[w-1]:bounds[w]]
         rows = np.stack([dataset.users[order], dataset.items[order] + n])  # rows of F
         ratings = dataset.ratings[order]
         # A runaway learning rate overflows factors to inf/nan; suppress the
@@ -213,7 +222,9 @@ def train_runs(
             for lo, hi in zip(bounds, bounds[1:]):
                 at = rows[:, lo:hi]
                 x = np.take(F, at, axis=1)  # (R, 2, b, k); a copy, faster than F[:, at]
-                x -= lr * gradients(x, ratings[lo:hi], mode, dataset.r_max, dataset.m, beta)
+                for mode, part, beta in modes:
+                    xs = x[part]  # a view: the update writes into x
+                    xs -= lr * gradients(xs, ratings[lo:hi], mode, dataset.r_max, dataset.m, beta)
                 F[:, at] = x
             for r, (model, history) in enumerate(runs):
                 if r not in errors:
@@ -223,7 +234,7 @@ def train_runs(
                                                  f"loss; try a learning_rate smaller than {lr}")
         if len(errors) == len(runs):
             break
-    return [errors.get(r, run) for r, run in enumerate(runs)]
+    return [errors.get(r, runs[r]) for r in map(slot.index, range(len(configs)))]
 
 
 def save_loss_history(

@@ -75,6 +75,19 @@ class TestRandomScorer:
         with pytest.raises(ValueError):
             RandomScorer(seed=2**64, n_items=5, r_max=5.0)
 
+    @pytest.mark.parametrize("users, items", [
+        (-1, 2), (1, -2),
+        (np.array([-1]), np.array([2])), (np.array([0, 1]), np.array([3, -1])),
+    ])
+    def test_negative_index_raises_index_error(self, users, items):
+        # As a uint64, -1 would be the draw of user or item 2**64 - 1.
+        with pytest.raises(IndexError, match="negative"):
+            RandomScorer(1, 4, 5.0).pair_scores(users, items)
+
+    def test_negative_user_row_raises_index_error(self):
+        with pytest.raises(IndexError, match="negative"):
+            RandomScorer(1, 4, 5.0).scores_for_user(-1)
+
 
 def zipf_from_counts(counts):
     """`ZipfScorer.from_dataset` on a dataset whose item j is rated counts[j] times."""

@@ -412,12 +412,30 @@ class TestBenchmarkCommand:
         sizes = {r["test_size"] for r in read_csv_rows(out)}
         assert len(sizes) == 1
 
+    @staticmethod
+    def _rows_trained_alone(ratings_file, pairs, seed, k, epochs):
+        """The CSV rows, at k_top 5, of each (algorithm, beta) in `pairs`
+        trained alone with `train` and scored with `evaluate_all`."""
+        from pbmf.baselines import ZipfScorer
+
+        train_set, test_set = split(load_movielens(ratings_file), SplitSpec(0.2, seed=seed))
+        expected = []
+        for algorithm, beta in pairs:
+            if algorithm == "zipf":
+                scorer, run = ZipfScorer.from_dataset(train_set), dict(k=0, epochs=0)
+            else:
+                scorer, _ = train(train_set, TrainConfig(algorithm=algorithm, beta=beta, k=k,
+                                                         epochs=epochs, seed=seed))
+                run = dict(k=k, epochs=epochs)
+            report = evaluate_all(scorer, train_set, test_set, k_top=5, algorithm=algorithm,
+                                  beta=beta, seed=seed, **run)
+            expected.append(report_row(report) + [""])
+        return expected
+
     def test_shared_rows_match_runs_trained_alone(self, ratings_file, tmp_path):
         # Rows that share a run (cosine_mf and beta 0, a repeated beta, a
         # repeated baseline) must still equal their own config trained alone:
         # this is the check that a kernel breaking beta = 0 == cosine fails.
-        from pbmf.baselines import ZipfScorer
-
         out = tmp_path / "results.csv"
         seed, k, epochs = 11, 4, 3
         assert main([
@@ -429,22 +447,28 @@ class TestBenchmarkCommand:
         with open(out, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == REPORT_COLUMNS + ["error"]
+        assert rows == self._rows_trained_alone(
+            ratings_file, [("classic_mf", 0.0), ("cosine_mf", 0.0), ("position_bias_mf", 0.0),
+                           ("position_bias_mf", 0.5), ("position_bias_mf", 0.5), ("zipf", 0.0),
+                           ("zipf", 0.0)], seed, k, epochs)
 
-        train_set, test_set = split(load_movielens(ratings_file), SplitSpec(0.2, seed=seed))
-        expected = []
-        for algorithm, beta in [("classic_mf", 0.0), ("cosine_mf", 0.0),
-                                ("position_bias_mf", 0.0), ("position_bias_mf", 0.5),
-                                ("position_bias_mf", 0.5), ("zipf", 0.0), ("zipf", 0.0)]:
-            if algorithm == "zipf":
-                scorer, run = ZipfScorer.from_dataset(train_set), dict(k=0, epochs=0)
-            else:
-                scorer, _ = train(train_set, TrainConfig(algorithm=algorithm, beta=beta, k=k,
-                                                         epochs=epochs, seed=seed))
-                run = dict(k=k, epochs=epochs)
-            report = evaluate_all(scorer, train_set, test_set, k_top=5, algorithm=algorithm,
-                                  beta=beta, seed=seed, **run)
-            expected.append(report_row(report) + [""])
-        assert rows == expected
+    def test_mixed_mode_rows_match_runs_trained_alone(self, ratings_file, tmp_path):
+        # classic_mf trains in the same call as the cosine-mode runs, after
+        # them in the row order: each row must still be its own config's.
+        out = tmp_path / "results.csv"
+        seed, k, epochs = 3, 4, 2
+        assert main([
+            "benchmark", "--input", str(ratings_file),
+            "--algorithms", "position_bias_mf,zipf,classic_mf,cosine_mf",
+            "--beta", "0.5,0", "--k", str(k), "--epochs", str(epochs),
+            "--seed", str(seed), "--k-top", "5", "--output", str(out),
+        ]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == REPORT_COLUMNS + ["error"]
+        assert rows == self._rows_trained_alone(
+            ratings_file, [("position_bias_mf", 0.5), ("position_bias_mf", 0.0), ("zipf", 0.0),
+                           ("classic_mf", 0.0), ("cosine_mf", 0.0)], seed, k, epochs)
 
     @staticmethod
     def _spy_runs(monkeypatch):
@@ -475,9 +499,8 @@ class TestBenchmarkCommand:
             ("classic_mf", "0"), ("cosine_mf", "0"), ("position_bias_mf", "0"),
             ("position_bias_mf", "0.1"), ("position_bias_mf", "1"), ("random", "0"),
             ("zipf", "0")]
-        lockstep = [c for c in calls["train_runs"] if c[0][0] != "classic_mf"]  # not train's
-        assert lockstep == [[("cosine_mf", 0.0), ("position_bias_mf", 0.1),
-                             ("position_bias_mf", 1.0)]]
+        assert calls["train_runs"] == [[("classic_mf", 0.0), ("cosine_mf", 0.0),
+                                        ("position_bias_mf", 0.1), ("position_bias_mf", 1.0)]]
         assert calls["evaluate_all"] == ["classic_mf", "cosine_mf", "position_bias_mf",
                                          "position_bias_mf", "random", "zipf"]
         assert rows[2] == {**rows[1], "algorithm": "position_bias_mf"}

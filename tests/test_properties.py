@@ -495,6 +495,9 @@ def raw_rating_files(draw):
 @given(text=raw_rating_files(), block_chars=st.integers(1, 64))
 @example(text="1::2::3::0\n" * 30 + "1::2::x::0\n", block_chars=16)
 @example(text="1::2::3::0\n1::2::3::0::5\n2::3::4::0", block_chars=1)
+# Blocks of four lines; only the second holds a malformed one.
+@example(text="".join("5::1::4\n" if u == 5 else f"{u}::{u % 3}::4::0\n" for u in range(12)),
+         block_chars=40)
 def test_movielens_blocks_match_line_by_line_loader(text, block_chars, tmp_path_factory):
     path = tmp_path_factory.mktemp("blocks") / "ratings.dat"
     path.write_bytes(text.encode("utf-8"))

@@ -406,6 +406,30 @@ class TestTrainRuns:
         assert np.array_equal(model.U, alone.U) and np.array_equal(again.V, alone.V)
         assert history == alone_history
 
+    @pytest.mark.parametrize("learning_rate", [0.05, 10.0])
+    def test_mixed_modes_match_separate_runs(self, learning_rate):
+        # Dot and cosine runs in one call, classic_mf not first; at lr 10 the
+        # classic_mf run diverges and the cosine-mode runs do not.
+        ds = self.zipf_dataset()
+        configs = [TrainConfig(algorithm=algorithm, beta=beta, k=4, learning_rate=learning_rate,
+                               epochs=3, seed=7)
+                   for algorithm, beta in [("position_bias_mf", 0.5), ("classic_mf", 0.0),
+                                           ("cosine_mf", 0.0)]]
+        results = train_runs(ds, configs)
+        assert len(results) == len(configs)
+        for config, result in zip(configs, results):
+            try:
+                alone, alone_history = train(ds, config)
+            except RuntimeError as raised:
+                assert isinstance(result, RuntimeError) and str(result) == str(raised)
+                continue
+            model, history = result
+            assert model.mode == alone.mode
+            assert np.array_equal(model.U, alone.U) and np.array_equal(model.V, alone.V)
+            assert history == alone_history
+        assert isinstance(results[1], RuntimeError) == (learning_rate == 10.0)
+        assert not any(isinstance(result, RuntimeError) for result in results[::2])
+
     def test_diverged_run_is_its_own_error(self):
         ds = self.zipf_dataset()
         kept = TrainConfig(algorithm="position_bias_mf", beta=0.1, k=4, epochs=2, seed=7)
@@ -426,11 +450,10 @@ class TestTrainRuns:
         {"learning_rate": 0.02},
         {"epochs": 3},
         {"init_scale": 0.2},
-        {"algorithm": "classic_mf"},
     ])
     def test_configs_differing_beyond_algorithm_and_beta_rejected(self, change):
         base = TrainConfig(algorithm="position_bias_mf", beta=0.1, k=4, epochs=2, seed=7)
-        with pytest.raises(ValueError, match="lockstep configs must share a mode"):
+        with pytest.raises(ValueError, match="lockstep configs must share all but algorithm"):
             train_runs(small_dataset(), [base, replace(base, **change)])
 
     def test_no_configs_rejected(self):
