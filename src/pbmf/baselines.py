@@ -46,11 +46,15 @@ class RandomScorer(Scorer):
 
     def pair_scores(self, users, items) -> np.ndarray:
         """Uniform [0, 1) draws keyed on (seed, user, item).  A negative user
-        or item raises IndexError: as a 64-bit word it would be another index."""
+        or item raises IndexError (as a 64-bit word it would be another
+        index), and so do an item at or past m and, given n, a user at or past n."""
         users, items = np.asarray(users), np.asarray(items)
-        for name, indices in (("user", users), ("item", items)):
+        for name, indices, size in (("user", users, self.n), ("item", items, self.m)):
             if indices.dtype.kind != "u" and (indices < 0).any():
                 raise IndexError(f"negative {name} index {indices[indices < 0].flat[0]}")
+            if size is not None and (indices >= size).any():
+                raise IndexError(f"{name} index {indices[indices >= size].flat[0]} "
+                                 f"is out of bounds for {size} {name}s")
         with np.errstate(over="ignore"):
             h = _mix64(self._seed_hash ^ users.astype(np.uint64))
             h = _mix64(h ^ items.astype(np.uint64))

@@ -3,20 +3,25 @@
 Loaders turn raw rating files into a :class:`RatingsDataset` whose user and
 item ids are mapped to contiguous indices in first-appearance order, so the
 same file always produces the same dataset byte for byte.  Both loaders
-number each id at its first row as they read, into flat index and rating
-arrays, and share one numpy step that keeps each (user, item) pair once: at
-its first row's position, with its last row's rating.  The MovieLens loader
-parses a block of lines at a time, with the semantics of one line at a
-time, line numbers in its errors included.  Splits are drawn
-with a seeded uniform draw and inherit the parent's index space and rating
-scale, so `n`, `m` and `r_max` stay global across train and test.
+number ids into flat index and rating arrays, and share one numpy step that
+keeps each (user, item) pair once: at its first row's position, with its
+last row's rating.  The MovieLens loader reads a file of digits, colons and
+newlines alone, in the usual `user::item::rating::timestamp` layout, with
+numpy, as integers whose ids one `np.unique` numbers.  It parses any other
+file in its general path, a block of lines at a time, with the semantics of
+one line at a time, line numbers in its errors included; both paths give the
+same dataset.  Splits are drawn with a seeded uniform draw and inherit the
+parent's index space and rating scale, so `n`, `m` and `r_max` stay global
+across train and test.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import compress, count, filterfalse, repeat
 from pathlib import Path
@@ -29,9 +34,11 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# load_movielens reads blocks of lines of about this many characters: 16-256 KiB
-# parse at one speed, and its tracemalloc peak on 50,000 rows is 91 B/row at
-# 16-64 KiB, 109 at 128 KiB and 144 at 256 KiB (88 line by line).
+# load_movielens reads blocks of about this many bytes in its numpy step, and of
+# lines of about this many characters in its general path.  The general path
+# parses 16-256 KiB at one speed, and its tracemalloc peak on 50,000 rows is 91
+# B/row at 16-64 KiB, 109 at 128 KiB and 144 at 256 KiB (88 line by line).  The
+# numpy step is twice as slow at 16 KiB as at 64-256 KiB, and peaks at 86 B/row.
 LOAD_BLOCK_CHARS = 64 * 1024
 
 
@@ -108,7 +115,8 @@ def _empty_rows() -> tuple[dict[str, int], dict[str, int], array, array, array]:
     return {}, {}, array("q"), array("q"), array("d")
 
 
-def _build_dataset(users: array, items: array, ratings: array, user_map: dict[str, int],
+def _build_dataset(users: array | np.ndarray, items: array | np.ndarray,
+                   ratings: array | np.ndarray, user_map: dict[str, int],
                    item_map: dict[str, int], source: str) -> RatingsDataset:
     """Deduplicate a file's valid rows into a dataset.
 
@@ -118,7 +126,7 @@ def _build_dataset(users: array, items: array, ratings: array, user_map: dict[st
     last; the ids keep their numbers, because an id's first row is also the
     first row of its pair.  `r_max` is the largest kept rating.
     """
-    if not ratings:
+    if not len(ratings):
         raise ValueError(f"{source}: no valid interactions found")
     user_rows = np.frombuffer(users, dtype=np.int64)
     item_rows = np.frombuffer(items, dtype=np.int64)
@@ -168,22 +176,90 @@ def _block_ratings(texts: list[str], lines: list[str], source: str, lineno: int)
                      if len(f) == 4 and f[0].strip() and f[1].strip()])
 
 
-def load_movielens(path: str | Path) -> RatingsDataset:
-    """Load a `UserID::MovieID::Rating::Timestamp` rating file.
+_BACK = np.arange(-18, 0)  # a field's last 18 bytes, as offsets from its end
+_POWERS = 10 ** np.arange(17, -1, -1, dtype=np.int64)  # their place values
 
-    Blank lines are skipped; ids are stripped of surrounding whitespace, as
-    in :func:`load_csv`.  Lines that do not split into four `::` fields, or
-    whose user or item id is empty, are counted as malformed and reported
-    via logging.  A line with the right shape but a non-numeric (or
-    non-positive) rating raises :class:`ValueError` naming the line
-    number; text that is not UTF-8 raises it naming the file alone.  A
-    repeated (user, item) pair keeps its first position and its last
-    rating, and a warning counts the dropped rows.
 
-    Lines are parsed a block of about LOAD_BLOCK_CHARS at a time, with the
-    dataset, errors and warnings of parsing them one by one.
-    """
-    source = str(Path(path))
+def _digit_fields(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The user ids, item ids and ratings of a block of whole lines as
+    integers, blank lines skipped; None unless every line is in the digit
+    layout that :func:`load_movielens` describes."""
+    digits = buf - np.uint8(48)  # "0"-"9" to 0-9 and ":" to 10
+    ends = np.flatnonzero(buf == 10)
+    colons = np.flatnonzero(digits == 10)
+    if len(ends) + len(colons) + np.count_nonzero(digits < 10) != len(buf):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    full = ends > starts
+    starts, ends = starts[full], ends[full]  # blank lines hold no colon
+    if len(colons) != 6 * len(ends):
+        return None
+    c = colons.reshape(-1, 6)
+    # Line t's six colons are the t-th six once each is inside line t (the
+    # user field below is at least a digit long), and they are three "::".
+    if not ((c[:, 5] < ends).all() and (c[:, 1::2] - c[:, 0::2] == 1).all()):
+        return None
+    fields = []
+    for is_id, lo, hi in ((True, starts, c[:, 0]), (True, c[:, 1] + 1, c[:, 2]),
+                          (False, c[:, 3] + 1, c[:, 4])):
+        length = hi - lo
+        if not ((length >= 1) & (length <= 18)).all():  # 18 digits fit an int64
+            return None
+        if is_id and ((digits[lo] == 0) & (length > 1)).any():  # "01" is not id "1"
+            return None
+        # Each field's last `width` bytes, with those before the field zeroed.
+        # An index below 0 wraps to the block's end, and is one of those.
+        width = int(length.max(initial=1))
+        window = digits[hi[:, None] + _BACK[-width:]]
+        window *= _BACK[-width:] >= -length[:, None]
+        fields.append(window @ _POWERS[-width:])
+    users, items, ratings = fields
+    if not ratings.all():  # a rating of 0: the general path names its line
+        return None
+    return users, items, ratings.astype(np.float64)
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+    """Number integer ids 0, 1, ... in first-appearance order: the numbers of
+    `ids`, and the map from each id's decimal text to its number."""
+    values, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse], dict(zip(map(str, values[order].tolist()), count()))
+
+
+def _parse_digits(source: str) -> tuple | None:
+    """A digit-layout file's rows and id maps, as `_parse_text` gives them;
+    None at the first block of lines that is not in that layout, or at once
+    if the file is not a regular one, such as a pipe, that cannot be read twice."""
+    if not os.path.isfile(source):
+        return None
+    columns = ([], [], [])
+    with open(source, "rb") as fh:
+        tail = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+        while True:
+            chunk = fh.read(LOAD_BLOCK_CHARS)
+            text = tail + (chunk or b"\n")  # an unended last line gets its "\n"
+            cut = text.rfind(b"\n") + 1
+            tail = text[cut:]
+            if cut:
+                fields = _digit_fields(np.frombuffer(text, np.uint8, cut))
+                if fields is None:
+                    return None
+                for column, values in zip(columns, fields):
+                    column.append(values)
+            if not chunk:
+                break
+    users, user_map = _first_appearance(np.concatenate(columns[0]))
+    items, item_map = _first_appearance(np.concatenate(columns[1]))
+    return users, items, np.concatenate(columns[2]), user_map, item_map
+
+
+def _parse_text(source: str) -> tuple[array, array, array, dict[str, int], dict[str, int]]:
+    """Any rating file's valid rows, numbered as they come, and its id maps;
+    a block of about LOAD_BLOCK_CHARS of lines at a time, with the rows,
+    errors and warnings of one line at a time."""
     user_map, item_map, users, items, ratings = _empty_rows()
     malformed = 0
     lineno = 0  # lines before the block
@@ -218,7 +294,35 @@ def load_movielens(path: str | Path) -> RatingsDataset:
         raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if malformed:
         logger.warning("%s: skipped %d malformed line(s)", source, malformed)
-    return _build_dataset(users, items, ratings, user_map, item_map, source)
+    return users, items, ratings, user_map, item_map
+
+
+def load_movielens(path: str | Path) -> RatingsDataset:
+    """Load a `UserID::MovieID::Rating::Timestamp` rating file.
+
+    Blank lines are skipped; ids are stripped of surrounding whitespace, as
+    in :func:`load_csv`.  Lines that do not split into four `::` fields, or
+    whose user or item id is empty, are counted as malformed and reported
+    via logging.  A line with the right shape but a non-numeric (or
+    non-positive) rating raises :class:`ValueError` naming the line
+    number; text that is not UTF-8 raises it naming the file alone.  A
+    repeated (user, item) pair keeps its first position and its last
+    rating, and a warning counts the dropped rows.
+
+    A regular file in the digit layout is parsed with numpy, a block of
+    about LOAD_BLOCK_CHARS bytes at a time.  After an optional UTF-8 BOM it
+    holds only the bytes `0-9`, `:` and newline (the last line may lack
+    its newline), and every line that is not blank is
+    `user::item::rating::timestamp`, with user, item and rating of 1-18
+    digits, ids without a leading `0`, a rating above 0 and a timestamp of
+    digits or none.  At the first block that is not, the file is parsed
+    again from its start by the general path, as every other file is: a
+    block of lines at a time, with the dataset, errors and warnings of
+    parsing them one by one.  Both give the same dataset, maps, warnings
+    and errors.
+    """
+    source = str(Path(path))
+    return _build_dataset(*(_parse_digits(source) or _parse_text(source)), source)
 
 
 def load_csv(

@@ -75,14 +75,24 @@ class TestRandomScorer:
         with pytest.raises(ValueError):
             RandomScorer(seed=2**64, n_items=5, r_max=5.0)
 
-    @pytest.mark.parametrize("users, items", [
-        (-1, 2), (1, -2),
-        (np.array([-1]), np.array([2])), (np.array([0, 1]), np.array([3, -1])),
+    @pytest.mark.parametrize("users, items, message", [
+        (-1, 2, "negative user index -1"), (1, -2, "negative item index -2"),
+        (np.array([-1]), np.array([2]), "negative user index -1"),
+        (np.array([0, 1]), np.array([3, -1]), "negative item index -1"),
+        (0, 10, "item index 10 is out of bounds for 4 items"),
+        (0, 4, "item index 4 is out of bounds for 4 items"),
+        (np.array([0, 7]), np.array([1, 2]), "user index 7 is out of bounds for 3 users"),
+        (3, np.arange(4), "user index 3 is out of bounds for 3 users"),
     ])
-    def test_negative_index_raises_index_error(self, users, items):
-        # As a uint64, -1 would be the draw of user or item 2**64 - 1.
-        with pytest.raises(IndexError, match="negative"):
-            RandomScorer(1, 4, 5.0).pair_scores(users, items)
+    def test_out_of_range_index_raises_index_error(self, users, items, message):
+        # As a uint64, -1 would be the draw of user or item 2**64 - 1; an
+        # index past the end would be the draw of a user or item that does
+        # not exist.
+        with pytest.raises(IndexError, match=message):
+            RandomScorer(1, 4, 5.0, n_users=3).pair_scores(users, items)
+
+    def test_users_unchecked_without_a_user_count(self):
+        assert 0.0 <= RandomScorer(1, 4, 5.0).pair_scores(7, 1) < 1.0
 
     def test_negative_user_row_raises_index_error(self):
         with pytest.raises(IndexError, match="negative"):

@@ -522,6 +522,33 @@ class TestBenchmarkCommand:
         assert rows[2] == rows[3]
         assert rows[2]["error"].startswith("training diverged at epoch 1")
 
+    @pytest.mark.parametrize("sample", ["ml1m_sample", "zipf"])
+    def test_train_then_evaluate_matches_benchmark_rows(self, sample, ratings_file, tmp_path):
+        # `train` + `evaluate` writes the factors to a model file and reads
+        # them back; `benchmark` scores them in memory.  Their `epochs` and
+        # `beta` cells differ: `evaluate` does not know how a model was trained.
+        # The 24-row sample has fewer items than a top-10 list; the Zipf file
+        # has 30, so its Matthew degrees differ between the runs.
+        path = (Path(__file__).resolve().parent / "data" / "ml1m_sample.dat"
+                if sample == "ml1m_sample" else ratings_file)
+        data_flags = ["--input", str(path), "--seed", "5"]
+        runs = [("classic_mf", []), ("cosine_mf", []), ("position_bias_mf", ["--beta", "0.1"])]
+        out = tmp_path / "benchmark.csv"
+        assert main(["benchmark", *data_flags, "--algorithms", ",".join(a for a, _ in runs),
+                     "--beta", "0.1", "--k", "8", "--epochs", "3", "--output", str(out)]) == 0
+        benchmark_rows = read_csv_rows(out)
+        assert [(r["algorithm"], r["beta"]) for r in benchmark_rows] == [
+            ("classic_mf", "0"), ("cosine_mf", "0"), ("position_bias_mf", "0.1")]
+        cells = ["mae", "matthew_degree", "position_bias", "test_size"]
+        for (algorithm, beta_flags), expected in zip(runs, benchmark_rows):
+            model_path, report = tmp_path / f"{algorithm}.pbmf", tmp_path / f"{algorithm}.csv"
+            assert main(["train", *data_flags, "--algorithm", algorithm, *beta_flags,
+                         "--k", "8", "--epochs", "3", "--output", str(model_path)]) == 0
+            assert main(["evaluate", *data_flags, "--model", str(model_path),
+                         "--label", algorithm, "--output", str(report)]) == 0
+            [row] = read_csv_rows(report)
+            assert [row[c] for c in cells] == [expected[c] for c in cells], algorithm
+
 
 def test_report_rows_cell_by_cell(ratings_file, tmp_path):
     """The report layout, pinned cell by cell: perfbench/reference.json

@@ -1,4 +1,6 @@
 import logging
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -129,6 +131,26 @@ class TestLoadMovielens:
             tracemalloc.stop()
         assert len(loaded) == 50_000
         assert peak / len(loaded) < 150
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        # A pipe cannot be read a second time, so it takes the general path
+        # alone: here the digit layout would fail only at the last line.
+        text = "".join(f"{u}::{u % 7 + 1}::4::0\n" for u in range(1, 8000)) + "x::1::3::0\n"
+        regular, fifo = tmp_path / "ratings.dat", tmp_path / "ratings.fifo"
+        regular.write_text(text)
+        os.mkfifo(fifo)
+        loaded = []
+        threads = [threading.Thread(target=fifo.write_text, args=(text,), daemon=True),
+                   threading.Thread(target=lambda: loaded.append(load_movielens(fifo)),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=30)
+        assert not threads[1].is_alive()
+        want = load_movielens(regular)
+        assert loaded[0].users.tolist() == want.users.tolist()
+        assert (loaded[0].user_map, loaded[0].item_map) == (want.user_map, want.item_map)
 
 
 @pytest.mark.parametrize("sep, load", [("::", load_movielens), (",", load_csv)],

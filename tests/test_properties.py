@@ -6,7 +6,8 @@ blocks, the score rows the scorers serve from blocks against one user's
 row at a time, the Matthew degree against its formula, the rating-file writer
 against the loader, both loaders against a row-by-row reference, the
 block-parsing MovieLens loader against a line-by-line one on drawn raw
-lines, and the CLI against drawn rating and config files and drawn argv
+lines and on drawn digit-only files, on both sides of its numpy step's
+guard, and the CLI against drawn rating and config files and drawn argv
 lists."""
 
 import contextlib
@@ -507,6 +508,79 @@ def test_movielens_blocks_match_line_by_line_loader(text, block_chars, tmp_path_
 
 
 BOM = b"\xef\xbb\xbf"
+DIGIT_IDS = ["0", "1", "2", "10", "3" * 18, "1" + "0" * 17]
+OFF_DIGIT_IDS = ["01", "00", "1" + "0" * 18]  # read by the general path only
+DIGIT_RATINGS = ["1", "3", "5", "05", "9" * 18, "9007199254740993"]  # 2**53 + 1 rounds
+OFF_DIGIT_RATINGS = ["0", "00", "1" * 19]
+TIMESTAMPS = ["", "0", "978300760", "9" * 25]
+MALFORMED_LINES = ["1::2::3", "1::2::3::4::5", "1:2::3::4", "::2::3::4", "1:2:3:4:5:6:7",
+                   "1:::2::3:4", "1::2::x::0", "1::2::3.5::0", "1::2::3::0\r", " 1::2::3::0",
+                   "1::2::0::0"]
+
+
+@st.composite
+def digit_rating_files(draw):
+    """Up to 60 lines of digit fields, a few of them blank; a third of the
+    files in the digit layout, the others with user ids, item ids or ratings
+    that it leaves to the general path, or with one or two malformed or bad
+    lines, most often last.  Maybe a BOM, maybe no final newline."""
+    off = draw(st.sampled_from([None, None, "user", "item", "rating", "line"]))
+    user_ids = DIGIT_IDS + (OFF_DIGIT_IDS if off == "user" else [])
+    item_ids = DIGIT_IDS + (OFF_DIGIT_IDS if off == "item" else [])
+    ratings = DIGIT_RATINGS + (OFF_DIGIT_RATINGS if off == "rating" else [])
+    line = st.one_of(
+        st.tuples(st.sampled_from(user_ids), st.sampled_from(item_ids),
+                  st.sampled_from(ratings), st.sampled_from(TIMESTAMPS)).map("::".join),
+        st.just(""))
+    lines = draw(st.lists(line, max_size=60))
+    if off == "line":
+        for bad in draw(st.lists(st.sampled_from(MALFORMED_LINES), min_size=1, max_size=2)):
+            lines.insert(draw(st.just(len(lines)) | st.integers(0, len(lines))), bad)
+    text = "".join(f"{body}\n" for body in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return (BOM if draw(st.booleans()) else b"") + text.encode()
+
+
+def test_digit_files_match_line_by_line_loader(tmp_path_factory):
+    took_numpy = {}  # file bytes -> whether load_movielens parsed them with numpy
+    parse_digits = data._parse_digits
+
+    def spy(source):
+        rows = parse_digits(source)
+        took_numpy[Path(source).read_bytes()] = rows is not None
+        return rows
+
+    numpy_side = BOM + b"0::" + b"3" * 18 + b"::05::\n\n1::0::9007199254740993::978300760"
+    general_side = [
+        b"1::2::3::0\n" * 10 + b"1::2::3",  # a malformed last line: parsed twice
+        b"1::01::4::0\n",
+        b"1::2::3\n4::5::6::7::8\n",  # twelve colons, but not six a line
+        b"1:2:3:4:5:6:7\n",  # six colons, but no "::"
+        b"3::4::5::6\n::2::3::4\n",  # an empty user id
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=digit_rating_files(), block_chars=st.integers(1, 64))
+    @example(raw=numpy_side, block_chars=7)
+    @example(raw=general_side[0], block_chars=16)
+    @example(raw=general_side[1], block_chars=64)
+    @example(raw=general_side[2], block_chars=64)
+    @example(raw=general_side[3], block_chars=64)
+    @example(raw=general_side[4], block_chars=64)
+    def check(raw, block_chars):
+        path = tmp_path_factory.mktemp("digits") / "ratings.dat"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "LOAD_BLOCK_CHARS", block_chars), \
+                mock.patch.object(data, "_parse_digits", spy):
+            got = load_outcome(load_movielens, path)
+        assert got == load_outcome(line_by_line_load_movielens, path)
+
+    check()
+    assert took_numpy[numpy_side] and not any(map(took_numpy.get, general_side))
+    assert sum(took_numpy.values()) >= 20, f"{sum(took_numpy.values())} of {len(took_numpy)}"
+
+
 GOOD_IDS = ["1", "2", "3", "4"]
 GOOD_RATINGS = ["1", "2", "3", "4", "5", "3.5", " 4 "]
 ODD_IDS = GOOD_IDS + ["a", "", " 2 ", "\ufeff1", "\u00e9"]
