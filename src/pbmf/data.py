@@ -2,17 +2,16 @@
 
 Loaders turn raw rating files into a :class:`RatingsDataset` whose user and
 item ids are mapped to contiguous indices in first-appearance order, so the
-same file always produces the same dataset byte for byte.  Both loaders
-number ids into flat index and rating arrays, and share one numpy step that
-keeps each (user, item) pair once: at its first row's position, with its
-last row's rating.  The MovieLens loader reads a file of digits, colons and
-newlines alone, in the usual `user::item::rating::timestamp` layout, with
-numpy, as integers whose ids one `np.unique` numbers.  It parses any other
-file in its general path, a block of lines at a time, with the semantics of
-one line at a time, line numbers in its errors included; both paths give the
-same dataset.  Splits are drawn with a seeded uniform draw and inherit the
-parent's index space and rating scale, so `n`, `m` and `r_max` stay global
-across train and test.
+same file always produces the same dataset byte for byte.  Each format has a
+row source that reads its file a line at a time; one step checks the ratings
+of either and numbers their ids into flat index and rating arrays, and one
+numpy step keeps each (user, item) pair once: at its first row's position,
+with its last row's rating.  The MovieLens loader reads a file of digits,
+colons and newlines alone, in the usual `user::item::rating::timestamp`
+layout, with numpy, as integers whose ids one `np.unique` numbers, and any
+other file with its row source; both give the same dataset.  Splits are drawn
+with a seeded uniform draw and inherit the parent's index space and rating
+scale, so `n`, `m` and `r_max` stay global across train and test.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import compress, count, filterfalse, repeat
+from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,14 +30,13 @@ import numpy as np
 
 if TYPE_CHECKING:
     from array import array
+    from collections.abc import Iterator
 
 logger = logging.getLogger(__name__)
 
-# load_movielens reads blocks of about this many bytes in its numpy step, and of
-# lines of about this many characters in its general path.  The general path
-# parses 16-256 KiB at one speed, and its tracemalloc peak on 50,000 rows is 91
-# B/row at 16-64 KiB, 109 at 128 KiB and 144 at 256 KiB (88 line by line).  The
-# numpy step is twice as slow at 16 KiB as at 64-256 KiB, and peaks at 86 B/row.
+# load_movielens reads blocks of about this many bytes in its numpy step, which
+# is twice as slow at 16 KiB as at 64-256 KiB; its tracemalloc peak on 50,000
+# rows is 86 B/row.
 LOAD_BLOCK_CHARS = 64 * 1024
 
 
@@ -155,25 +153,63 @@ def _build_dataset(users: array | np.ndarray, items: array | np.ndarray,
     )
 
 
-def _number_ids(ids: list[str], id_map: dict[str, int]) -> np.ndarray:
-    """Number a block's new ids in first-appearance order, each once (as
-    dict.fromkeys yields it); the indices of the block's ids."""
-    id_map.update(zip(filterfalse(id_map.__contains__, dict.fromkeys(ids)), count(len(id_map))))
-    return np.fromiter(map(id_map.__getitem__, ids), np.int64, len(ids))
-
-
-def _block_ratings(texts: list[str], lines: list[str], source: str, lineno: int) -> np.ndarray:
-    """The ratings of a block's valid lines; if one is bad, parsed line by line
-    so that the first bad one raises naming its line.  `lineno` lines precede."""
+def _number_rows(rows: Iterator[tuple[int, str, str, str]], source: str) -> tuple:
+    """A file's rows and id maps from its row source's `(line number, user id,
+    item id, rating text)`: ratings checked, ids numbered by first appearance."""
+    user_map, item_map, users, items, ratings = _empty_rows()
     try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-        if "_" not in "".join(texts) and ((values > 0) & (values < math.inf)).all():
-            return values
-    except ValueError:
-        pass
-    fields = (line.split("::") for line in lines)
-    return np.array([_checked_rating(f[2], source, at) for at, f in enumerate(fields, lineno + 1)
-                     if len(f) == 4 and f[0].strip() and f[1].strip()])
+        for lineno, user_id, item_id, text in rows:
+            ratings.append(_checked_rating(text, source, lineno))
+            users.append(user_map.setdefault(user_id, len(user_map)))
+            items.append(item_map.setdefault(item_id, len(item_map)))
+    except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
+        raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
+    return users, items, ratings, user_map, item_map
+
+
+def _movielens_rows(source: str) -> Iterator[tuple[int, str, str, str]]:
+    """The rows of a `::` file, ids stripped of spaces; lines not blank but
+    without four fields or with an empty id are counted, and logged at the end."""
+    malformed = 0
+    with open(source, encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split("::")
+            ids = (fields[0].strip(), fields[1].strip()) if len(fields) == 4 else ("", "")
+            if not all(ids):  # not four fields, or an empty id
+                malformed += 1
+                continue
+            yield lineno, *ids, fields[2]
+    if malformed:
+        logger.warning("%s: skipped %d malformed line(s)", source, malformed)
+
+
+def _csv_rows(source: str, user_col: int, item_col: int, rating_col: int,
+              delimiter: str, has_header: bool) -> Iterator[tuple[int, str, str, str]]:
+    """The data rows of a delimited file, their cells stripped of spaces; blank
+    rows skipped, and with `has_header` the first row that is not blank."""
+    needed = max(user_col, item_col, rating_col) + 1
+    with open(source, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header_left = has_header
+        try:
+            for row in reader:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if header_left:
+                    header_left = False
+                    continue
+                if len(row) < needed:
+                    raise ValueError(f"{source}:{reader.line_num}: expected at least "
+                                     f"{needed} columns, found {len(row)}")
+                user_id, item_id = row[user_col].strip(), row[item_col].strip()
+                if not user_id or not item_id:
+                    raise ValueError(f"{source}:{reader.line_num}: empty user or item id")
+                yield reader.line_num, user_id, item_id, row[rating_col].strip()
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
 
 
 _BACK = np.arange(-18, 0)  # a field's last 18 bytes, as offsets from its end
@@ -230,7 +266,7 @@ def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
 
 
 def _parse_digits(source: str) -> tuple | None:
-    """A digit-layout file's rows and id maps, as `_parse_text` gives them;
+    """A digit-layout file's rows and id maps, as `_number_rows` gives them;
     None at the first block of lines that is not in that layout, or at once
     if the file is not a regular one, such as a pipe, that cannot be read twice."""
     if not os.path.isfile(source):
@@ -256,47 +292,6 @@ def _parse_digits(source: str) -> tuple | None:
     return users, items, np.concatenate(columns[2]), user_map, item_map
 
 
-def _parse_text(source: str) -> tuple[array, array, array, dict[str, int], dict[str, int]]:
-    """Any rating file's valid rows, numbered as they come, and its id maps;
-    a block of about LOAD_BLOCK_CHARS of lines at a time, with the rows,
-    errors and warnings of one line at a time."""
-    user_map, item_map, users, items, ratings = _empty_rows()
-    malformed = 0
-    lineno = 0  # lines before the block
-    try:
-        with open(source, encoding="utf-8-sig") as fh:
-            while lines := fh.readlines(LOAD_BLOCK_CHARS):
-                # str.count and str.split find the same "::" matches, so a
-                # line has four fields exactly when it holds three.
-                counts = list(map(str.count, lines, repeat("::")))
-                if counts.count(3) == len(counts):  # the usual block: no line to drop
-                    rows = lines
-                else:
-                    rows = list(compress(lines, map((3).__eq__, counts)))
-                    malformed += sum(1 for line in compress(lines, map((3).__ne__, counts))
-                                     if line.strip())
-                text = "".join(rows)  # with every line ending in "\n", four fields a line
-                fields = (text if text.endswith("\n") else text + "\n"
-                          ).replace("::", "\n").split("\n")
-                user_ids = list(map(str.strip, fields[0:-1:4]))
-                item_ids = list(map(str.strip, fields[1:-1:4]))
-                texts = fields[2:-1:4]
-                if "" in user_ids or "" in item_ids:  # an empty id is malformed
-                    keep = list(map(all, zip(user_ids, item_ids)))
-                    malformed += keep.count(False)
-                    user_ids, item_ids, texts = ([*compress(column, keep)] for column
-                                                 in (user_ids, item_ids, texts))
-                ratings.frombytes(_block_ratings(texts, lines, source, lineno).tobytes())
-                users.frombytes(_number_ids(user_ids, user_map).tobytes())
-                items.frombytes(_number_ids(item_ids, item_map).tobytes())
-                lineno += len(lines)
-    except UnicodeDecodeError as exc:  # decoded in chunks: the position is not the file's
-        raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    if malformed:
-        logger.warning("%s: skipped %d malformed line(s)", source, malformed)
-    return users, items, ratings, user_map, item_map
-
-
 def load_movielens(path: str | Path) -> RatingsDataset:
     """Load a `UserID::MovieID::Rating::Timestamp` rating file.
 
@@ -315,14 +310,13 @@ def load_movielens(path: str | Path) -> RatingsDataset:
     its newline), and every line that is not blank is
     `user::item::rating::timestamp`, with user, item and rating of 1-18
     digits, ids without a leading `0`, a rating above 0 and a timestamp of
-    digits or none.  At the first block that is not, the file is parsed
-    again from its start by the general path, as every other file is: a
-    block of lines at a time, with the dataset, errors and warnings of
-    parsing them one by one.  Both give the same dataset, maps, warnings
-    and errors.
+    digits or none.  At the first block that is not, the file is read again
+    from its start a line at a time, as every other file is.  Both give the
+    same dataset, maps, warnings and errors.
     """
     source = str(Path(path))
-    return _build_dataset(*(_parse_digits(source) or _parse_text(source)), source)
+    rows = _parse_digits(source) or _number_rows(_movielens_rows(source), source)
+    return _build_dataset(*rows, source)
 
 
 def load_csv(
@@ -338,39 +332,14 @@ def load_csv(
     Raises :class:`ValueError` for a negative column index; naming
     `path:line` for a data row shorter than the requested columns, with an
     empty user or item id or that the csv module cannot parse; and naming
-    the file for text that is not UTF-8.  Repeated (user, item) pairs are
-    deduplicated as in :func:`load_movielens`.
+    the file for text that is not UTF-8.  Rows are read, numbered and
+    deduplicated by the same steps as in :func:`load_movielens`.
     """
     if min(user_col, item_col, rating_col) < 0:
         raise ValueError(f"column indices must be >= 0, got {user_col}, {item_col}, {rating_col}")
     source = str(Path(path))
-    needed = max(user_col, item_col, rating_col) + 1
-    user_map, item_map, users, items, ratings = _empty_rows()
-    with open(source, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header_left = has_header
-        try:
-            for row in reader:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if header_left:  # the header is the first row that is not blank
-                    header_left = False
-                    continue
-                if len(row) < needed:
-                    raise ValueError(f"{source}:{reader.line_num}: expected at least "
-                                     f"{needed} columns, found {len(row)}")
-                user_id, item_id = row[user_col].strip(), row[item_col].strip()
-                if not user_id or not item_id:
-                    raise ValueError(f"{source}:{reader.line_num}: empty user or item id")
-                ratings.append(_checked_rating(row[rating_col].strip(), source,
-                                               reader.line_num))
-                users.append(user_map.setdefault(user_id, len(user_map)))
-                items.append(item_map.setdefault(item_id, len(item_map)))
-        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    return _build_dataset(users, items, ratings, user_map, item_map, source)
+    rows = _csv_rows(source, user_col, item_col, rating_col, delimiter, has_header)
+    return _build_dataset(*_number_rows(rows, source), source)
 
 
 def _subset(dataset: RatingsDataset, mask: np.ndarray) -> RatingsDataset:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pbmf import data
 from pbmf.data import (
     SplitSpec,
     load_csv,
@@ -116,13 +117,18 @@ class TestLoadMovielens:
         with pytest.raises(ValueError, match=r"sep\.dat:2: rating '4_5' is not a number"):
             load_movielens(path)
 
-    def test_peak_memory_per_row(self, tmp_path):
+    # A "u" before each user id takes the file out of the digit layout, so it
+    # is read a line at a time.
+    @pytest.mark.parametrize("user_prefix", ["", "u"], ids=["digits", "u_prefixed"])
+    def test_peak_memory_per_row(self, tmp_path, user_prefix):
         # One Python object per row (a dict entry keyed on a tuple of two id
         # strings) costs about 250 bytes a row; flat index arrays cost under 100.
         dataset = zipf_popularity_dataset(2000, 500, 25, seed=3, rating_scale=5,
                                           integer_ratings=True)
         path = tmp_path / "zipf50k.dat"
         write_movielens_file(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(user_prefix + line for line in lines))
         tracemalloc.start()
         try:
             loaded = load_movielens(path)
@@ -131,6 +137,24 @@ class TestLoadMovielens:
             tracemalloc.stop()
         assert len(loaded) == 50_000
         assert peak / len(loaded) < 150
+
+    def test_benchmark_files_take_the_numpy_step(self, tmp_path):
+        # Rating files written as perfbench/run.py's make_inputs writes them,
+        # for the popularity exponents of its workloads, and ML-1M's sample
+        # are in the digit layout; the sample's CRLF copy is not.
+        for exponent in (1.0, 0.5, 0.8):
+            for seed in (7, 99, 12345):
+                dataset = zipf_popularity_dataset(80, 60, 8, seed=seed,
+                                                  popularity_exponent=exponent,
+                                                  rating_scale=5, integer_ratings=True)
+                path = tmp_path / f"ratings_{exponent}_{seed}.dat"
+                write_movielens_file(dataset, path)
+                assert data._parse_digits(str(path)) is not None, path.name
+        sample = DATA_DIR / "ml1m_sample.dat"
+        crlf = tmp_path / "crlf.dat"
+        crlf.write_bytes(sample.read_bytes().replace(b"\n", b"\r\n"))
+        assert data._parse_digits(str(sample)) is not None
+        assert data._parse_digits(str(crlf)) is None
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_is_read_once(self, tmp_path):

@@ -5,10 +5,10 @@ against a plain `sorted` and a full stable `argsort`, also across many
 blocks, the score rows the scorers serve from blocks against one user's
 row at a time, the Matthew degree against its formula, the rating-file writer
 against the loader, both loaders against a row-by-row reference, the
-block-parsing MovieLens loader against a line-by-line one on drawn raw
-lines and on drawn digit-only files, on both sides of its numpy step's
-guard, and the CLI against drawn rating and config files and drawn argv
-lists."""
+MovieLens loader against a line-by-line one on drawn raw lines and on drawn
+digit-only files, on both sides of its numpy step's guard, the two loaders
+against each other on the `::` and `,` spellings of one drawn file, and the
+CLI against drawn rating and config files and drawn argv lists."""
 
 import contextlib
 import io
@@ -579,6 +579,36 @@ def test_digit_files_match_line_by_line_loader(tmp_path_factory):
     check()
     assert took_numpy[numpy_side] and not any(map(took_numpy.get, general_side))
     assert sum(took_numpy.values()) >= 20, f"{sum(took_numpy.values())} of {len(took_numpy)}"
+
+
+# Ids and ratings that read the same in a `::` file and a `,` file: no ":",
+# "," or '"', and no spaces around a rating, which csv strips and "::" keeps.
+SPELLED_IDS = ["1", "2", "10", "a", " 3", "4 ", "\x851", "\u00e9"]
+SPELLED_RATINGS = ["1", "2", "4", "3.5", "05"]
+
+
+@st.composite
+def spelled_rows(draw):
+    """Up to 40 rows of a user id, an item id and a rating, or None for a
+    blank line; with bad ratings or without."""
+    ratings = SPELLED_RATINGS + (BAD_RAW_RATINGS if draw(st.booleans()) else [])
+    row = st.tuples(st.sampled_from(SPELLED_IDS), st.sampled_from(SPELLED_IDS),
+                    st.sampled_from(ratings))
+    return draw(st.lists(st.none() | row, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=spelled_rows(), newline=st.sampled_from(["\n", "\r\n"]), last_newline=st.booleans())
+@example(rows=[("1", "2", "4"), None, ("a", "b", "x")], newline="\n", last_newline=True)
+@example(rows=[("1", "2", "4"), (" 1", "2 ", "3.5")], newline="\r\n", last_newline=False)
+def test_movielens_and_csv_spellings_load_alike(rows, newline, last_newline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("spellings") / "ratings"
+    outcomes = []
+    for sep, load in (("::", load_movielens), (",", load_csv)):
+        text = newline.join(sep.join((*row, "0")) if row else "" for row in rows)
+        path.write_text(text + newline if last_newline else text, encoding="utf-8", newline="")
+        outcomes.append(load_outcome(load, path))
+    assert outcomes[0] == outcomes[1]
 
 
 GOOD_IDS = ["1", "2", "3", "4"]
