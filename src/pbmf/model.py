@@ -29,9 +29,9 @@ CHUNK_BYTES = 256 * 1024
 # RANK_BLOCK_BYTES: 64 rows at m = 500, where 128-512 KiB ranked alike and 32 KiB
 # or 1 MiB slower.  Median of 15 pairs on one CPU: blocks took 0.63 of the
 # row-by-row time at m = 500, 0.94 at 1,000, 1.15 at 1,500 and 1.56 at 4,000.
-# Scorer.scores_for_user scores blocks of users of the same size where top_k
-# ranks in blocks; at m = 3,999, blocks of 8 users raised the peak RSS of
-# pbmf evaluate by 0.2 MB.
+# Scorer.scores_for_user scores blocks of users of the same size at every m:
+# 8 users at m = 3,999, where serving rows from blocks moved the peak RSS of
+# pbmf evaluate from 47.0-47.2 MB to 47.2-47.4 MB (14 pairs on one CPU).
 RANK_BLOCK_BYTES = 256 * 1024
 BLOCK_RANK_MAX_M = 1000
 
@@ -56,14 +56,13 @@ class Scorer:
     """What the metrics read of a scorer, derived from the subclass's
     `pair_scores(users, items)`, its `r_max` and its item count `m`.
 
-    A scorer with a user count `n` and at most BLOCK_RANK_MAX_M items, the
-    rows `top_k` ranks in blocks, serves `scores_for_user(i)` as user i's
+    A scorer with a user count `n` serves `scores_for_user(i)` as user i's
     row of a read-only block of `score_rows(lo, hi)`, the users
     lo = i - i % B onward and none past the last, with B from
     RANK_BLOCK_BYTES as in `top_k`.  The block is scored at the first call
     that needs it and kept until a call needs another block or the last
     user's row is served; a subclass whose rows change drops it by setting
-    `_block` to None.  Any other scorer scores each call's user alone."""
+    `_block` to None.  A scorer without `n` scores each call's user alone."""
 
     n: int | None = None  # the user count, where the scorer has one
     _block: tuple | None = None  # (lo, rows) of the block being served
@@ -93,10 +92,6 @@ class Scorer:
             i += n
             if i < 0:
                 raise IndexError(f"index {i - n} is out of bounds for {n} users")
-        if self.m > BLOCK_RANK_MAX_M:  # top_k ranks such rows alone
-            if i >= n:
-                raise IndexError(f"index {i} is out of bounds for {n} users")
-            return self.score_rows(i, i + 1)[0]
         block = self._block
         if block is None or not 0 <= i - block[0] < len(block[1]):
             if i >= n:  # checked on a block miss only, so a served row pays nothing
@@ -121,12 +116,13 @@ class FactorModel(Scorer):
     `r_max` carries the rating scale of the training data so scores can be
     mapped back to ratings.
 
-    A cosine model caches the row norms of U and of V at its first
+    A model caches the row norms of U and of V at its first
     :meth:`scores_for_user` call and makes both read-only from then on, so
     an in-place write raises ValueError instead of ranking with stale norms
     or a stale block of rows.  Change factors with
     ``dataclasses.replace(model, V=...)`` or a new FactorModel; assigning a
-    new array to ``U`` or ``V`` also recomputes the norms and the block.
+    new array to ``U`` or ``V``, or a new ``mode``, also recomputes the
+    norms and the block.
     """
 
     U: np.ndarray
@@ -143,7 +139,7 @@ class FactorModel(Scorer):
             raise ValueError(
                 f"U and V disagree on the latent dimension: {self.U.shape[1]} vs {self.V.shape[1]}"
             )
-        self._norms: tuple[np.ndarray, ...] | None = None  # (U, V, U's row norms, V's)
+        self._norms: tuple | None = None  # (U, V, mode, U's row norms, V's)
 
     @property
     def n(self) -> int:
@@ -194,34 +190,27 @@ class FactorModel(Scorer):
         dots = np.matmul(self.V, self.U[lo:hi, :, None])[:, :, 0]
         if self.mode == "dot":
             return dots
-        _, _, u_norm, v_norm = self._cached_norms()
+        *_, u_norm, v_norm = self._cached_norms()
         return cosine(dots, u_norm[lo:hi, None], v_norm, out=dots)[0]
 
-    def _cached_norms(self) -> tuple[np.ndarray, ...]:
-        """(U, V, U's row norms, V's), computed at the first call and again,
-        dropping the kept block, after a new array is assigned to U or V.
-        U and V turn read-only."""
-        if self._norms is None or self._norms[0] is not self.U or self._norms[1] is not self.V:
+    def _cached_norms(self) -> tuple:
+        """(U, V, mode, U's row norms, V's), computed at the first call and
+        again, dropping the kept block, after a new array is assigned to U or
+        V or a new mode to `mode`.  U and V turn read-only."""
+        key = self._norms
+        if key is None or key[0] is not self.U or key[1] is not self.V or key[2] != self.mode:
             self.U.setflags(write=False)
             self.V.setflags(write=False)
-            self._norms = (self.U, self.V, *(np.sqrt(np.einsum("ij,ij->i", f, f))
-                                             for f in (self.U, self.V)))
+            self._norms = (self.U, self.V, self.mode,
+                           *(np.sqrt(np.einsum("ij,ij->i", f, f)) for f in (self.U, self.V)))
             self._block = None
         return self._norms
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i: a row of a served block
-        (see Scorer) in cosine mode with up to BLOCK_RANK_MAX_M items, else
-        one V @ U_i.  Dot mode keeps no block: its factors stay writable, so
-        a kept block could go stale."""
-        if self.mode == "cosine" and self.m <= BLOCK_RANK_MAX_M:
-            self._cached_norms()  # drops a block scored from replaced factors
-            return super().scores_for_user(i)
-        dots = self.V @ self.U[i]
-        if self.mode == "dot":
-            return dots
-        _, _, u_norm, v_norm = self._cached_norms()
-        return cosine(dots, u_norm[i], v_norm)[0]
+        (see Scorer)."""
+        self._cached_norms()  # drops a block scored from replaced factors or mode
+        return super().scores_for_user(i)
 
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score on the normalized [~0, 1] scale compared against 1/m: the
@@ -272,24 +261,21 @@ class TopKLists:
 def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One user's list: the k_top best candidates of `row` and their scores."""
     m = row.shape[0]
-    if m > k_top:
-        # Keep every item not worse than the k-th best candidate.  With the
-        # excluded items at +inf in the negated copy, a finite k-th value
-        # is that candidate's; a k-th of +inf or NaN keeps every item.  The
-        # ties at the k-th score and the NaNs stay in, so the stable sort
-        # below orders exactly as a sort of all candidates would.
-        neg = -row
-        neg[exclude] = np.inf
-        neg.partition(k_top - 1)
-        near = np.flatnonzero(~(row < -neg[k_top - 1]))
-    else:
-        near = np.arange(m)
-    excluded = np.zeros(m, dtype=bool)
-    excluded[exclude] = True
-    near = near[~excluded[near]]
+    neg = -row
+    neg[exclude] = np.inf
+    kth = np.partition(neg, k_top - 1)[k_top - 1] if m > k_top else np.inf
+    if np.isfinite(kth):
+        # At least k_top candidates are as good as the k-th best, which is
+        # finite: they and its ties are the items at or below it in the
+        # negated row, which leaves out the excluded items (+inf) and NaN.
+        near = (neg <= kth).nonzero()[0]
+    else:  # a k-th of +-inf or NaN: every candidate
+        excluded = np.zeros(m, dtype=bool)
+        excluded[exclude] = True
+        near = (~excluded).nonzero()[0]
     # Stable sort on the negated scores keeps ascending item index
     # within every group of tied scores, and puts NaN last.
-    top = near[np.argsort(-row[near], kind="stable")[:k_top]]
+    top = near[np.argsort(neg[near], kind="stable")[:k_top]]
     return top, row[top]
 
 

@@ -499,28 +499,35 @@ class TestItemNormCache:
         for i in (-5, -1):  # the user i + 5, and the scorer still serves its rows
             assert np.array_equal(scorer.scores_for_user(i), scorer.scores_for_user(5 + i))
 
-    def test_wide_rows_are_scored_alone(self):
-        # top_k ranks rows of more than BLOCK_RANK_MAX_M items one at a time,
-        # so no scorer keeps a block of them.
-        m = model_module.BLOCK_RANK_MAX_M + 1
+    @pytest.mark.parametrize("m", [4, model_module.BLOCK_RANK_MAX_M + 1])
+    @pytest.mark.parametrize("kind", ["cosine", "dot", "random"])
+    def test_rows_are_served_from_blocks(self, kind, m):
+        # Either mode and either side of BLOCK_RANK_MAX_M: every user's row is
+        # a read-only row of one score_rows call per block, bit-equal to the
+        # user's own row.
+        n = 70  # one block at m = 4, three at m = 1,001
         rng = np.random.default_rng(22)
-        U, V = rng.normal(size=(3, 4)), rng.normal(size=(m, 4))
-        model = FactorModel(U=U, V=V)
-        random = RandomScorer(seed=1, n_items=m, r_max=5.0, n_users=3)
-        for i in (0, 2, -1):
-            row = model.scores_for_user(i)
-            want = cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])),
-                          np.sqrt(np.einsum("ij,ij->i", V, V)))[0]
-            assert row.tobytes() == want.tobytes() and model._block is None
-            row = random.scores_for_user(i)
-            assert row.tobytes() == random.pair_scores(i % 3, np.arange(m)).tobytes()
-            assert random._block is None
-
-    def test_dot_model_keeps_v_writable(self):
-        model = _cosine_model_with_zero_rows()
-        model.mode = "dot"
-        top_k(model, n_users=5, k_top=3)
-        model.V[0, 0] = 1.0
+        U, V = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
+        if kind == "random":
+            scorer = RandomScorer(seed=1, n_items=m, r_max=5.0, n_users=n)
+            own = [scorer.pair_scores(i, np.arange(m)) for i in range(n)]
+        else:
+            scorer = FactorModel(U=U, V=V, mode=kind)
+            v_norm = np.sqrt(np.einsum("ij,ij->i", V, V))
+            own = [V @ U[i] if kind == "dot" else
+                   cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])), v_norm)[0]
+                   for i in range(n)]
+        calls = []
+        score_rows = scorer.score_rows
+        scorer.score_rows = lambda lo, hi: calls.append((lo, hi)) or score_rows(lo, hi)
+        for i in range(n):
+            row = scorer.scores_for_user(i)
+            assert row.tobytes() == own[i].tobytes() and not row.flags.writeable
+        height = model_module._block_rows(m)
+        assert calls == [(lo, min(lo + height, n)) for lo in range(0, n, height)]
+        if kind != "random":  # a kept block cannot go stale through the factors
+            with pytest.raises(ValueError):
+                scorer.V[0, 0] = 1.0
 
 
 class TestPersistence:

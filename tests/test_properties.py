@@ -227,12 +227,7 @@ def ranking_blocks(draw):
     return rows, exclude, draw(st.integers(1, m + 2)), draw(st.integers(1, 16))
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=ranking_blocks())
-def test_top_k_in_blocks_matches_stable_argsort(case):
-    rows, exclude, k_top, block_rows = case
-    with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * rows.shape[1]):
-        lists = top_k(RowScorer(rows), len(rows), k_top, exclude=exclude)
+def assert_stable_argsort_lists(lists, rows, exclude, k_top):
     assert len(lists) == len(rows)
     for i, row in enumerate(rows):
         order = np.argsort(-row, kind="stable")
@@ -241,13 +236,34 @@ def test_top_k_in_blocks_matches_stable_argsort(case):
         np.testing.assert_array_equal(lists.scores[i], row[want])
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=ranking_blocks())
+def test_top_k_in_blocks_matches_stable_argsort(case):
+    rows, exclude, k_top, block_rows = case
+    with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * rows.shape[1]):
+        lists = top_k(RowScorer(rows), len(rows), k_top, exclude=exclude)
+    assert_stable_argsort_lists(lists, rows, exclude, k_top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranking_blocks())
+def test_top_k_row_by_row_matches_stable_argsort(case):
+    # The rows wider than BLOCK_RANK_MAX_M go to _rank_row one at a time;
+    # here the drawn rows do: ties at the k-th score, NaN, infinities, and
+    # users who exclude half or all of the items.
+    rows, exclude, k_top, _ = case
+    with mock.patch.object(model_module, "BLOCK_RANK_MAX_M", 0):
+        lists = top_k(RowScorer(rows), len(rows), k_top, exclude=exclude)
+    assert_stable_argsort_lists(lists, rows, exclude, k_top)
+
+
 @st.composite
 def served_row_cases(draw):
     """A cosine model, a dot model or a RandomScorer (with its seed and
     user count) over n users and m items, zero factor rows included, a block of 1-3 rows, and
     the users asked for: forward, backward or drawn, each asked once or
-    twice in a row.  A model gets a new U or V at a drawn call, assigned in
-    cosine mode and written in place in dot mode."""
+    twice in a row.  A model gets a new U, V or mode, by assignment, at a
+    drawn call."""
     kind = draw(st.sampled_from(["cosine", "dot", "random"]))
     n, m, k = draw(st.integers(1, 8)), draw(st.integers(1, 9)), draw(st.integers(1, 8) | st.just(64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -263,9 +279,10 @@ def served_row_cases(draw):
     order = [i for i in users for _ in range(draw(st.integers(1, 2)))]
     change = None
     if kind != "random" and draw(st.booleans()):
-        name = draw(st.sampled_from(["U", "V"]))
-        change = (draw(st.integers(0, len(order) - 1)), name,
-                  rng.normal(size=(n if name == "U" else m, k)))
+        name = draw(st.sampled_from(["U", "V", "mode"]))
+        value = ({"dot": "cosine", "cosine": "dot"}[kind] if name == "mode"
+                 else rng.normal(size=(n if name == "U" else m, k)))
+        change = (draw(st.integers(0, len(order) - 1)), name, value)
     return kind, U, V, draw(st.integers(0, 2**64 - 1)), order, draw(st.integers(1, 3)), change
 
 
@@ -284,6 +301,7 @@ def served_row_oracle(scorer, i):
 @given(case=served_row_cases())
 @example(case=("cosine", np.ones((7, 2)), np.eye(2), 0, [6, 5, 4, 3, 2, 1, 0], 3,
                (3, "U", np.arange(14.0).reshape(7, 2))))
+@example(case=("dot", np.ones((2, 2)), np.eye(2), 0, [0, 1], 3, (1, "mode", "cosine")))
 def test_served_rows_equal_per_user_rows(case):
     kind, U, V, seed, order, block_rows, change = case
     m = len(V)
@@ -296,19 +314,15 @@ def test_served_rows_equal_per_user_rows(case):
     with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * m):
         for t, i in enumerate(order):
             if change is not None and t == change[0]:
-                if kind == "cosine":
-                    setattr(scorer, change[1], change[2])
-                else:
-                    getattr(scorer, change[1])[:] = change[2]
+                setattr(scorer, change[1], change[2])
             row = scorer.scores_for_user(i)
             want = served_row_oracle(scorer, i)
             assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
-            if kind != "dot":
-                assert not row.flags.writeable
-                scored += (t == 0 or i // block_rows != order[t - 1] // block_rows
-                           or (change is not None and t == change[0])
-                           or order[t - 1] == len(U) - 1)
-    assert len(calls) == scored  # a dot model scores no block
+            assert not row.flags.writeable
+            scored += (t == 0 or i // block_rows != order[t - 1] // block_rows
+                       or (change is not None and t == change[0])
+                       or order[t - 1] == len(U) - 1)
+    assert len(calls) == scored
     for lo, hi in calls:
         assert lo % block_rows == 0
         assert hi == min(lo + block_rows, len(U))
