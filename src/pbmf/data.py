@@ -257,7 +257,10 @@ def _digit_fields(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
 
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
     """Number integer ids 0, 1, ... in first-appearance order: the numbers of
-    `ids`, and the map from each id's decimal text to its number."""
+    `ids`, and the map from each id's decimal text to its number.  The ids,
+    all >= 0, are sorted in the narrowest unsigned type that holds them: below
+    65,536 that is uint16 or uint8, which numpy's stable sort radix-sorts."""
+    ids = ids.astype(np.min_scalar_type(ids.max(initial=0)))
     values, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)

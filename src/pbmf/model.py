@@ -27,8 +27,11 @@ CHUNK_BYTES = 256 * 1024
 
 # top_k ranks rows of up to BLOCK_RANK_MAX_M items in blocks of about
 # RANK_BLOCK_BYTES: 64 rows at m = 500, where 128-512 KiB ranked alike and 32 KiB
-# or 1 MiB slower.  Median of 15 pairs on one CPU: blocks took 0.63 of the
-# row-by-row time at m = 500, 0.94 at 1,000, 1.15 at 1,500 and 1.56 at 4,000.
+# or 1 MiB slower.  Against rows ranked one at a time (each from a sampled cut,
+# see _rank_row), blocks took 0.73-0.78 of the time at m = 500, 0.95-0.97 at
+# 1,000, 1.04-1.11 at 1,500 and 1.58-1.65 at 4,000: the medians of two runs of
+# 15 pairs of top_k calls on one CPU, 2,000 users of a k = 8 cosine model with
+# 20 exclusions each, k_top = 10.
 # Scorer.scores_for_user scores blocks of users of the same size at every m:
 # 8 users at m = 3,999, where serving rows from blocks moved the peak RSS of
 # pbmf evaluate from 47.0-47.2 MB to 47.2-47.4 MB (14 pairs on one CPU).
@@ -139,7 +142,7 @@ class FactorModel(Scorer):
             raise ValueError(
                 f"U and V disagree on the latent dimension: {self.U.shape[1]} vs {self.V.shape[1]}"
             )
-        self._norms: tuple | None = None  # (U, V, mode, U's row norms, V's)
+        self._norms: tuple | None = None  # see _cached_norms
 
     @property
     def n(self) -> int:
@@ -186,23 +189,29 @@ class FactorModel(Scorer):
         """Ranking scores of users lo..hi-1: U_i . V_j, over the cached row
         norms in cosine mode.  np.matmul runs one V @ U_i per user, so a row
         equals that user's own V @ U_i bit for bit (one matrix product of the
-        block does not) and can differ in the last bit from `pair_scores`."""
+        block does not) and can differ in the last bit from `pair_scores`.
+        Where the smallest norms' product reaches NORM_EPSILON, so does every
+        |U_i| |V_j| (a rounded product is monotone), and the rows skip
+        `cosine`'s floor, which would leave every denominator as it is."""
         dots = np.matmul(self.V, self.U[lo:hi, :, None])[:, :, 0]
         if self.mode == "dot":
             return dots
-        *_, u_norm, v_norm = self._cached_norms()
-        return cosine(dots, u_norm[lo:hi, None], v_norm, out=dots)[0]
+        *_, u_norm, v_norm, v_min = self._cached_norms()
+        u_norm = u_norm[lo:hi, None]
+        if u_norm.min(initial=np.inf) * v_min >= NORM_EPSILON:  # False for NaN
+            return np.divide(dots, u_norm * v_norm, out=dots)
+        return cosine(dots, u_norm, v_norm, out=dots)[0]
 
     def _cached_norms(self) -> tuple:
-        """(U, V, mode, U's row norms, V's), computed at the first call and
-        again, dropping the kept block, after a new array is assigned to U or
-        V or a new mode to `mode`.  U and V turn read-only."""
+        """(U, V, mode, U's row norms, V's, the smallest of V's), computed at
+        the first call and again, dropping the kept block, after a new array
+        is assigned to U or V or a new mode to `mode`.  U and V turn read-only."""
         key = self._norms
         if key is None or key[0] is not self.U or key[1] is not self.V or key[2] != self.mode:
             self.U.setflags(write=False)
             self.V.setflags(write=False)
-            self._norms = (self.U, self.V, self.mode,
-                           *(np.sqrt(np.einsum("ij,ij->i", f, f)) for f in (self.U, self.V)))
+            u_norm, v_norm = (np.sqrt(np.einsum("ij,ij->i", f, f)) for f in (self.U, self.V))
+            self._norms = (self.U, self.V, self.mode, u_norm, v_norm, v_norm.min(initial=np.inf))
             self._block = None
         return self._norms
 
@@ -259,17 +268,26 @@ class TopKLists:
 
 
 def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One user's list: the k_top best candidates of `row` and their scores."""
+    """One user's list: the k_top best candidates of `row` and their scores.
+
+    A row of at least 4 * k_top items is cut at the k-th best of every fourth
+    item, its exclusions already set, which takes a partition of a quarter of
+    the row.  A subset's k-th best is never better than the row's own, so the
+    items as good as the cut hold the list and every tie at its end.  A cut
+    of +inf or NaN leaves too few candidates, and the row's own k-th best,
+    from one partition in full, takes its place."""
     m = row.shape[0]
     neg = -row
     neg[exclude] = np.inf
-    kth = np.partition(neg, k_top - 1)[k_top - 1] if m > k_top else np.inf
-    if np.isfinite(kth):
-        # At least k_top candidates are as good as the k-th best, which is
-        # finite: they and its ties are the items at or below it in the
-        # negated row, which leaves out the excluded items (+inf) and NaN.
+    kth = np.partition(neg[::4], k_top - 1)[k_top - 1] if m >= 4 * k_top else np.inf
+    if not kth < np.inf:  # +inf or NaN
+        kth = np.partition(neg, k_top - 1)[k_top - 1] if m > k_top else np.inf
+    if kth < np.inf:
+        # At least k_top candidates are at or below kth in the negated row:
+        # they and the ties of the k-th best are the items at or below it,
+        # which leaves out the excluded items (+inf) and NaN.
         near = (neg <= kth).nonzero()[0]
-    else:  # a k-th of +-inf or NaN: every candidate
+    else:  # a k-th of +inf or NaN: every candidate
         excluded = np.zeros(m, dtype=bool)
         excluded[exclude] = True
         near = (~excluded).nonzero()[0]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -477,6 +478,33 @@ class TestItemNormCache:
                 assert np.array_equal(model.scores_for_user(i), want)
 
         check()
+
+    @pytest.mark.parametrize("zero_item", [False, True])
+    def test_rows_equal_floored_cosine_on_both_sides_of_the_floor(self, zero_item):
+        # |U_i| near 1e-7 and |V_j| near 1e-5, so the products straddle
+        # NORM_EPSILON.  In blocks of two users, the first block's smallest
+        # product reaches the floor and skips cosine(); the second's does not
+        # (though its largest does), nor does the third's, with a zero user,
+        # nor any block once V holds a zero row.
+        rng = np.random.default_rng(19)
+        U, V = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
+        U *= np.array([[1.2], [1.15], [0.95], [1.3], [0.0], [1.0]]) * 1e-7 / np.linalg.norm(
+            U, axis=1, keepdims=True)
+        V *= np.array([[0.9], [1.0], [1.1], [1.2], [1.3]]) * 1e-5 / np.linalg.norm(
+            V, axis=1, keepdims=True)
+        if zero_item:
+            V[2] = 0.0
+        model = FactorModel(U=U, V=V, mode="cosine")
+        v_norm = np.sqrt(np.einsum("ij,ij->i", V, V))
+        products = np.sqrt(np.einsum("ij,ij->i", U, U))[:, None] * v_norm[v_norm > 0]
+        assert products[:2].min() >= NORM_EPSILON > products[2:4].min()
+        assert products[2:4].max() >= NORM_EPSILON
+        with mock.patch.object(model_module, "RANK_BLOCK_BYTES", 2 * 8 * 5), \
+                mock.patch.object(model_module, "cosine", wraps=cosine) as spy:
+            for i in range(6):
+                want = cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])), v_norm)[0]
+                assert model.scores_for_user(i).tobytes() == want.tobytes()
+        assert spy.call_count == (3 if zero_item else 2)  # the blocks that reach no floor
 
     def test_negative_user_counts_from_the_last(self):
         model = _cosine_model_with_zero_rows()

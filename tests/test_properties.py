@@ -245,16 +245,54 @@ def test_top_k_in_blocks_matches_stable_argsort(case):
     assert_stable_argsort_lists(lists, rows, exclude, k_top)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=ranking_blocks())
-def test_top_k_row_by_row_matches_stable_argsort(case):
+def test_top_k_row_by_row_matches_stable_argsort():
     # The rows wider than BLOCK_RANK_MAX_M go to _rank_row one at a time;
     # here the drawn rows do: ties at the k-th score, NaN, infinities, and
-    # users who exclude half or all of the items.
-    rows, exclude, k_top, _ = case
-    with mock.patch.object(model_module, "BLOCK_RANK_MAX_M", 0):
-        lists = top_k(RowScorer(rows), len(rows), k_top, exclude=exclude)
-    assert_stable_argsort_lists(lists, rows, exclude, k_top)
+    # users who exclude half or all of the items.  A row of m >= 4 * k_top
+    # is cut at the k-th best of every fourth item (one partition of the
+    # sample), unless that cut is +inf or NaN (a partition of the full row).
+    paths = set()  # how _rank_row found a row's k-th best: "cut" or "full"
+    lengths = []  # of the arrays partitioned while one row is ranked
+    rank_row, partition = model_module._rank_row, np.partition
+
+    def rank_row_spy(row, k_top, exclude):
+        lengths.clear()
+        ranked = rank_row(row, k_top, exclude)
+        paths.add("cut" if len(lengths) == 1 and lengths[0] < len(row) else "full")
+        return ranked
+
+    def partition_spy(a, *args, **kwargs):
+        lengths.append(len(a))
+        return partition(a, *args, **kwargs)
+
+    def one_row(*values):
+        return np.array([values], dtype=np.float64)
+
+    nan, inf = math.nan, math.inf
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ranking_blocks())
+    # The 2nd best ties a sampled item (4) and an unsampled one (2), which wins.
+    @example(case=(one_row(0.9, 0.1, 0.5, 0.1, 0.5, 0.1, 0.1, 0.1), None, 2, 1))
+    # Both sampled items are excluded: the cut is +inf and the full row ranks.
+    @example(case=(one_row(0.9, 0.1, 0.2, 0.3, 0.8, 0.4, 0.5, 0.6), [np.array([0, 4])], 2, 1))
+    # NaN in the sample: a NaN cut, and a finite one.
+    @example(case=(np.array([[nan, 0.1, 0.2, 0.3, nan, 0.4, 0.5, 0.6, 0.3, 0.9, 0.1, 0.2],
+                             [nan, 0.1, 0.2, 0.3, 0.2, 0.4, 0.5, 0.6, 0.7, 0.9, 0.1, 0.2]]),
+                   None, 2, 1))
+    @example(case=(one_row(*[inf] * 8), None, 2, 1))  # a cut of -inf
+    @example(case=(one_row(*np.arange(11.0) % 4), None, 3, 1))  # m = 4 * k_top - 1
+    @example(case=(one_row(*np.arange(12.0) % 4), None, 3, 1))  # m = 4 * k_top
+    def check(case):
+        rows, exclude, k_top, _ = case
+        with mock.patch.object(model_module, "BLOCK_RANK_MAX_M", 0), \
+                mock.patch.object(model_module, "_rank_row", rank_row_spy), \
+                mock.patch.object(np, "partition", partition_spy):
+            lists = top_k(RowScorer(rows), len(rows), k_top, exclude=exclude)
+        assert_stable_argsort_lists(lists, rows, exclude, k_top)
+
+    check()
+    assert paths == {"cut", "full"}
 
 
 @st.composite
@@ -566,6 +604,10 @@ def test_digit_files_match_line_by_line_loader(tmp_path_factory):
         return rows
 
     numpy_side = BOM + b"0::" + b"3" * 18 + b"::05::\n\n1::0::9007199254740993::978300760"
+    # Largest item ids numbered as uint16, uint32 and uint64.
+    wide_ids = [b"1::300::4::0\n2::65535::3::0\n",
+                b"1::65535::4::0\n2::65536::3::0\n1::65536::5::0\n",
+                b"1::65535::4::0\n2::4294967296::3::0\n"]
     general_side = [
         b"1::2::3::0\n" * 10 + b"1::2::3",  # a malformed last line: parsed twice
         b"1::01::4::0\n",
@@ -582,6 +624,9 @@ def test_digit_files_match_line_by_line_loader(tmp_path_factory):
     @example(raw=general_side[2], block_chars=64)
     @example(raw=general_side[3], block_chars=64)
     @example(raw=general_side[4], block_chars=64)
+    @example(raw=wide_ids[0], block_chars=64)
+    @example(raw=wide_ids[1], block_chars=5)
+    @example(raw=wide_ids[2], block_chars=64)
     def check(raw, block_chars):
         path = tmp_path_factory.mktemp("digits") / "ratings.dat"
         path.write_bytes(raw)
@@ -592,6 +637,7 @@ def test_digit_files_match_line_by_line_loader(tmp_path_factory):
 
     check()
     assert took_numpy[numpy_side] and not any(map(took_numpy.get, general_side))
+    assert all(map(took_numpy.get, wide_ids))
     assert sum(took_numpy.values()) >= 20, f"{sum(took_numpy.values())} of {len(took_numpy)}"
 
 
