@@ -30,7 +30,8 @@ class RandomScorer(Scorer):
     are counter-based: a value depends only on (seed, user, item), never on
     how many draws happened before, so evaluation order cannot change it.
     Given the user count `n_users`, it scores ranking rows a block of users
-    at a time (see `model.Scorer`).
+    at a time and a user at or past it raises IndexError; without it only a
+    negative user does (the index rule of `model.Scorer`).
     """
 
     def __init__(self, seed: int, n_items: int, r_max: float, n_users: int | None = None):
@@ -44,38 +45,30 @@ class RandomScorer(Scorer):
             self._seed_hash = _mix64(_U64(seed) ^ _GOLDEN)  # the same for every draw
         self._items: np.ndarray | None = None  # arange(m) as uint64, made at the first row
 
-    def pair_scores(self, users, items) -> np.ndarray:
-        """Uniform [0, 1) draws keyed on (seed, user, item).  A negative user
-        or item raises IndexError (as a 64-bit word it would be another
-        index), and so do an item at or past m and, given n, a user at or past n."""
+    def _pair_scores(self, users, items) -> np.ndarray:
+        """Uniform [0, 1) draws keyed on (seed, user, item), the indices as
+        64-bit words (a negative one never gets here; see `model.Scorer`)."""
         users, items = np.asarray(users), np.asarray(items)
-        for name, indices, size in (("user", users, self.n), ("item", items, self.m)):
-            if indices.dtype.kind != "u" and (indices < 0).any():
-                raise IndexError(f"negative {name} index {indices[indices < 0].flat[0]}")
-            if size is not None and (indices >= size).any():
-                raise IndexError(f"{name} index {indices[indices >= size].flat[0]} "
-                                 f"is out of bounds for {size} {name}s")
         with np.errstate(over="ignore"):
             h = _mix64(self._seed_hash ^ users.astype(np.uint64))
             h = _mix64(h ^ items.astype(np.uint64))
         return (h >> _U64(11)) * 2.0**-53
 
     def score_rows(self, lo: int, hi: int) -> np.ndarray:
-        """pair_scores of users lo..hi-1 against every item: the users' hashes
+        """_pair_scores of users lo..hi-1 against every item: the users' hashes
         are mixed once, as a column, then the grid against the items."""
-        if lo < 0:
-            raise IndexError(f"negative user index {lo}")
         if self._items is None:
             self._items = np.arange(self.m, dtype=np.uint64)
         users = np.arange(hi - lo, dtype=np.uint64) + _U64(lo)
-        return self.pair_scores(users[:, None], self._items)
+        return self._pair_scores(users[:, None], self._items)
 
 
 class ZipfScorer(Scorer):
     """Scores item j as 1 / popularity_rank(j), independent of the user.
 
     Rank 1 is the most-rated training item, so the score sequence over the
-    ranked items is 1, 1/2, 1/3, ... — the Zipf click profile.
+    ranked items is 1, 1/2, 1/3, ... — the Zipf click profile.  With no user
+    count, only a negative user breaks the index rule of `model.Scorer`.
     """
 
     def __init__(self, popularity_rank: np.ndarray, r_max: float):
@@ -93,9 +86,10 @@ class ZipfScorer(Scorer):
         ranks[order] = np.arange(1, dataset.m + 1)
         return cls(ranks, dataset.r_max)
 
-    def pair_scores(self, users, items) -> np.ndarray:
+    def _pair_scores(self, users, items) -> np.ndarray:
         return self._inv_rank[np.asarray(items)]
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """The read-only 1 / rank row itself: every user's row is the same."""
+        self._check_index(i, None, "user")
         return self._inv_rank

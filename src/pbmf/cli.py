@@ -243,28 +243,15 @@ def _split_dataset(args: argparse.Namespace):
     return data.split(dataset, data.SplitSpec(test_fraction=args.test_fraction, seed=args.seed))
 
 
-def _train_config(args: argparse.Namespace, algorithm: str,
-                  beta: float) -> training.TrainConfig:
-    """Training hyperparameters from the shared training flags."""
-    return training.TrainConfig(
-        algorithm=algorithm,
-        k=args.k,
-        learning_rate=args.lr,
-        beta=beta,
-        epochs=args.epochs,
-        seed=args.seed,
-        init_scale=args.init_scale,
-    )
+def _train_config(args: argparse.Namespace, algorithm: str, beta: float) -> training.TrainConfig:
+    """Training hyperparameters from the shared training flags; a bad mix,
+    such as a nonzero beta for an algorithm without a penalty, raises ValueError."""
+    return training.TrainConfig(algorithm=algorithm, k=args.k, learning_rate=args.lr, beta=beta,
+                                epochs=args.epochs, seed=args.seed, init_scale=args.init_scale)
 
 
-def _make_scorer(algorithm: str, train_set: data.RatingsDataset, args: argparse.Namespace,
-                 trained: object) -> object:
-    """The model of a trained run (`trained`, the run's result or the error
-    it raised), or a baseline."""
-    if algorithm in training.ALGORITHMS:
-        if isinstance(trained, BaseException):
-            raise trained
-        return trained[0]
+def _baseline(algorithm: str, train_set: data.RatingsDataset, args: argparse.Namespace) -> object:
+    """The `random` or `zipf` scorer of the training set."""
     if algorithm == "random":
         return baselines.RandomScorer(args.seed, train_set.m, train_set.r_max, train_set.n)
     return baselines.ZipfScorer.from_dataset(train_set)
@@ -280,11 +267,9 @@ def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> 
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.beta and args.algorithm != "position_bias_mf":
-        raise ValueError(f"--beta {args.beta} applies only to position_bias_mf, "
-                         f"not to {args.algorithm}")
+    config = _train_config(args, args.algorithm, args.beta)  # checked before any read
     train_set, _ = _split_dataset(args)
-    model, history = training.train(train_set, _train_config(args, args.algorithm, args.beta))
+    model, history = training.train(train_set, config)
     save_model(model, args.output)
     history_path = Path(str(args.output) + ".history.csv")
     training.save_loss_history(history, history_path)
@@ -308,9 +293,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_key(algorithm: str, beta: float) -> tuple[str, float]:
-    """The run a row's metrics come from: `cosine_mf` is `position_bias_mf`
-    at beta 0, so the two share a key."""
-    return ("position_bias_mf" if algorithm == "cosine_mf" else algorithm, beta)
+    """The run a row's metrics come from: `position_bias_mf` at beta 0 is
+    `cosine_mf`, so the two share a key."""
+    if algorithm == "position_bias_mf" and beta == 0:
+        return ("cosine_mf", 0.0)
+    return (algorithm, beta)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -324,27 +311,28 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     train_set, test_set = _split_dataset(args)
     rows = [(algorithm, beta) for algorithm in args.algorithms
             for beta in (args.beta if algorithm == "position_bias_mf" else [0.0])]
-    runs: dict[tuple[str, float], tuple[str, float]] = {}  # key -> its first row
-    for algorithm, beta in rows:
-        runs.setdefault(_run_key(algorithm, beta), (algorithm, beta))
-    keys = [key for key, (algorithm, _) in runs.items() if algorithm in training.ALGORITHMS]
-    configs = [_train_config(args, *runs[key]) for key in keys]
+    keys = list(dict.fromkeys(_run_key(*row) for row in rows))
+    to_train = [key for key in keys if key[0] in training.ALGORITHMS]
+    configs = [_train_config(args, *key) for key in to_train]
     try:
-        trained = dict(zip(keys, training.train_runs(train_set, configs) if configs else []))
+        trained = dict(zip(to_train, training.train_runs(train_set, configs) if configs else []))
     except (ValueError, MemoryError) as exc:  # every run it would have trained fails alike
-        trained = dict.fromkeys(keys, exc)
+        trained = dict.fromkeys(to_train, exc)
     results: dict[tuple[str, float], tuple[metrics.MetricsReport, BaseException | None]] = {}
-    for key, (algorithm, beta) in runs.items():
+    for algorithm, beta in keys:
+        outcome = trained.get((algorithm, beta))  # a trained run's (model, history) or its error
         # Baselines have no latent dimension and no epochs, failed or not.
-        k_used, epochs_used = ((args.k, args.epochs) if algorithm in training.ALGORITHMS
-                               else (0, 0))
+        k_used, epochs_used = (0, 0) if outcome is None else (args.k, args.epochs)
         run = dict(algorithm=algorithm, beta=beta, k=k_used, epochs=epochs_used, seed=args.seed)
-        try:
-            scorer = _make_scorer(algorithm, train_set, args, trained.get(key))
-            results[key] = (metrics.evaluate_all(scorer, train_set, test_set, args.k_top,
-                                                 args.matthew_variant, **run), None)
-        except (ValueError, RuntimeError, MemoryError) as exc:
-            results[key] = (metrics.MetricsReport(**run, k_top=args.k_top), exc)
+        if not isinstance(outcome, BaseException):
+            try:
+                scorer = outcome[0] if outcome else _baseline(algorithm, train_set, args)
+                results[algorithm, beta] = (metrics.evaluate_all(
+                    scorer, train_set, test_set, args.k_top, args.matthew_variant, **run), None)
+                continue
+            except (ValueError, RuntimeError, MemoryError) as exc:
+                outcome = exc
+        results[algorithm, beta] = (metrics.MetricsReport(**run, k_top=args.k_top), outcome)
     table = []
     for algorithm, beta in rows:
         report, exc = results[_run_key(algorithm, beta)]

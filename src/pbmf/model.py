@@ -56,8 +56,9 @@ def _block_rows(m: int) -> int:
 
 
 class Scorer:
-    """What the metrics read of a scorer, derived from the subclass's
-    `pair_scores(users, items)`, its `r_max` and its item count `m`.
+    """What the metrics read of a scorer, derived from the subclass's hook
+    `_pair_scores(users, items)`, its `r_max` and its item count `m`; the
+    hooks see only indices that keep the index rule of `_check_index`.
 
     A scorer with a user count `n` serves `scores_for_user(i)` as user i's
     row of a read-only block of `score_rows(lo, hi)`, the users
@@ -70,6 +71,24 @@ class Scorer:
     n: int | None = None  # the user count, where the scorer has one
     _block: tuple | None = None  # (lo, rows) of the block being served
 
+    @staticmethod
+    def _check_index(index, size: int | None, name: str) -> None:
+        """The index rule of every scorer: a user index (`size` n, None without
+        n) or an item index (`size` m), an int or an array, outside [0, size)
+        raises IndexError naming it.  An empty array passes."""
+        low = high = index
+        if not isinstance(index, (int, np.integer)):
+            low, high = (np.min(index), np.max(index)) if np.size(index) else (0, -1)
+        if low < 0 or size is not None and high >= size:
+            where = "is negative" if size is None else f"is out of bounds for {size} {name}s"
+            raise IndexError(f"{name} index {low if low < 0 else high} {where}")
+
+    def pair_scores(self, users, items) -> np.ndarray:
+        """`_pair_scores(users, items)` of indices that keep the index rule."""
+        self._check_index(users, self.n, "user")
+        self._check_index(items, self.m, "item")
+        return self._pair_scores(users, items)
+
     def normalized_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return self.pair_scores(users, items)
 
@@ -78,27 +97,20 @@ class Scorer:
         return np.clip(self.normalized_scores(users, items), 0.0, 1.0) * self.r_max
 
     def score_rows(self, lo: int, hi: int) -> np.ndarray:
-        """(hi - lo) x m ranking scores of users lo..hi-1: one
-        `pair_scores(i, np.arange(m))` per user, so `pair_scores` must take one
-        user index against an array of items."""
+        """(hi - lo) x m ranking scores of users lo..hi-1, 0 <= lo < hi (<= n):
+        one `_pair_scores(i, np.arange(m))` per user, so the hook must take
+        one user index against an array of items."""
         items = np.arange(self.m)
-        return np.stack([self.pair_scores(i, items) for i in range(lo, hi)])
+        return np.stack([self._pair_scores(i, items) for i in range(lo, hi)])
 
     def scores_for_user(self, i: int) -> np.ndarray:
-        """Ranking score of every item for user i.  With a user count n, a
-        negative i counts from the last user, as a numpy index does, and an i
-        outside [-n, n) raises IndexError."""
-        n = self.n
-        if n is None:
-            return self.score_rows(i, i + 1)[0]
-        if i < 0:
-            i += n
-            if i < 0:
-                raise IndexError(f"index {i - n} is out of bounds for {n} users")
-        block = self._block
+        """Ranking score of every item for user i, checked by the index rule
+        on a block miss only, so a served row pays nothing."""
+        n, block = self.n, self._block
         if block is None or not 0 <= i - block[0] < len(block[1]):
-            if i >= n:  # checked on a block miss only, so a served row pays nothing
-                raise IndexError(f"index {i} is out of bounds for {n} users")
+            self._check_index(i, n, "user")
+            if n is None:
+                return self.score_rows(i, i + 1)[0]
             self._block = block = None  # free to go before the next block is scored
             height = _block_rows(self.m)
             lo = i - i % height
@@ -158,7 +170,7 @@ class FactorModel(Scorer):
 
     # -- vectorized scoring (read-only; safe after training) -----------------
 
-    def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    def _pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Score of each (users[t], items[t]) pair: U_i . V_j in dot mode,
         their cosine in cosine mode.  The pairs are scored in blocks of about
         CHUNK_BYTES of gathered rows; each score is the same per-row reduction

@@ -61,6 +61,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.beta and self.algorithm != "position_bias_mf":  # only it has a penalty
+            raise ValueError(f"beta {self.beta} applies only to position_bias_mf, "
+                             f"not to {self.algorithm}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.init_scale < math.inf:
@@ -185,7 +188,7 @@ def train_runs(
     # mode's runs are one contiguous slice of F.
     slot = sorted(range(len(configs)), key=lambda c: configs[c].algorithm != "classic_mf")
     dot = sum(c.algorithm == "classic_mf" for c in configs)
-    betas = [configs[c].beta if configs[c].algorithm == "position_bias_mf" else 0.0 for c in slot]
+    betas = [configs[c].beta for c in slot]
     start = init_model(dataset.n, dataset.m, first.k, seed=first.seed, scale=first.init_scale)
     n = dataset.n
     F = np.empty((len(configs), n + dataset.m, first.k))

@@ -76,9 +76,10 @@ class TestRandomScorer:
             RandomScorer(seed=2**64, n_items=5, r_max=5.0)
 
     @pytest.mark.parametrize("users, items, message", [
-        (-1, 2, "negative user index -1"), (1, -2, "negative item index -2"),
-        (np.array([-1]), np.array([2]), "negative user index -1"),
-        (np.array([0, 1]), np.array([3, -1]), "negative item index -1"),
+        (-1, 2, "user index -1 is out of bounds for 3 users"),
+        (1, -2, "item index -2 is out of bounds for 4 items"),
+        (np.array([-1]), np.array([2]), "user index -1 is out of bounds for 3 users"),
+        (np.array([0, 1]), np.array([3, -1]), "item index -1 is out of bounds for 4 items"),
         (0, 10, "item index 10 is out of bounds for 4 items"),
         (0, 4, "item index 4 is out of bounds for 4 items"),
         (np.array([0, 7]), np.array([1, 2]), "user index 7 is out of bounds for 3 users"),
@@ -95,7 +96,7 @@ class TestRandomScorer:
         assert 0.0 <= RandomScorer(1, 4, 5.0).pair_scores(7, 1) < 1.0
 
     def test_negative_user_row_raises_index_error(self):
-        with pytest.raises(IndexError, match="negative"):
+        with pytest.raises(IndexError, match="user index -1 is negative"):
             RandomScorer(1, 4, 5.0).scores_for_user(-1)
 
 

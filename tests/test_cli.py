@@ -112,7 +112,7 @@ class TestTrainCommand:
                      *beta, "--k", "2", "--epochs", "1", "--output", str(tmp_path / "m.pbmf")])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert len(err) == 1 and err[0].startswith("error: --beta")
+        assert len(err) == 1 and err[0].startswith("error: beta")
         assert not (tmp_path / "m.pbmf").exists()
 
     def test_zero_beta_trains_cosine(self, ratings_file, tmp_path):

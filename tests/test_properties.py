@@ -3,7 +3,8 @@ against one SGD step at a time, `items_by_user` against a grouping in file
 order, `split` against a set-based filter of the held-out rows, `top_k`
 against a plain `sorted` and a full stable `argsort`, also across many
 blocks, the score rows the scorers serve from blocks against one user's
-row at a time, the Matthew degree against its formula, the rating-file writer
+row at a time, every scorer's index checks against the one index rule and
+its unchecked hook, the Matthew degree against its formula, the rating-file writer
 against the loader, both loaders against a row-by-row reference, the
 MovieLens loader against a line-by-line one on drawn raw lines and on drawn
 digit-only files, on both sides of its numpy step's guard, the two loaders
@@ -11,9 +12,11 @@ against each other on the `::` and `,` spellings of one drawn file, and the
 CLI against drawn rating and config files and drawn argv lists."""
 
 import contextlib
+import functools
 import io
 import logging
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -24,14 +27,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pbmf import cli, data, model as model_module  # noqa: E402
-from pbmf.baselines import RandomScorer  # noqa: E402
+from pbmf.baselines import RandomScorer, ZipfScorer  # noqa: E402
 from pbmf.data import SplitSpec, load_csv, load_movielens, split  # noqa: E402
 from pbmf.metrics import MATTHEW_VARIANTS, matthew_degree  # noqa: E402
-from pbmf.model import TopKLists, top_k  # noqa: E402
+from pbmf.model import Scorer, TopKLists, top_k  # noqa: E402
 from pbmf.synthetic import write_movielens_file  # noqa: E402
 from pbmf.training import ALGORITHMS, TrainConfig, train  # noqa: E402
 
 from conftest import make_dataset  # noqa: E402
+from test_readme import python_blocks, run_block  # noqa: E402
 from test_training import sequential_sgd_oracle  # noqa: E402
 
 
@@ -62,6 +66,7 @@ ALL_DISTINCT = make_dataset(range(8), [2, 5, 0, 7, 1, 6, 3, 4], [1, 2, 3, 4, 5, 
 @example(dataset=ALL_DISTINCT, algorithm="position_bias_mf", beta=0.5, epochs=2)
 @example(dataset=ALL_DISTINCT, algorithm="classic_mf", beta=0.0, epochs=2)
 def test_train_matches_sequential_oracle(dataset, algorithm, beta, epochs):
+    beta = beta if algorithm == "position_bias_mf" else 0.0  # only it takes a beta
     config = TrainConfig(algorithm=algorithm, beta=beta, k=3, learning_rate=0.05,
                          epochs=epochs, seed=7)
     model, _ = train(dataset, config)
@@ -364,6 +369,112 @@ def test_served_rows_equal_per_user_rows(case):
     for lo, hi in calls:
         assert lo % block_rows == 0
         assert hi == min(lo + block_rows, len(U))
+
+
+SCORER_KINDS = ["dot", "cosine", "random", "random without n", "zipf", "readme"]
+
+
+@functools.cache
+def readme_scorer_class():
+    """The custom scorer class that README.md defines."""
+    return next(value for source in python_blocks() for value in run_block(source).values()
+                if isinstance(value, type) and issubclass(value, Scorer) and value is not Scorer)
+
+
+def index_rule_scorer(kind, n, m, seed):
+    """A scorer of `kind` over n users and m items (where it counts users)."""
+    if kind in ("dot", "cosine"):
+        return model_module.init_model(n, m, 3, seed=seed, mode=kind)
+    if kind.startswith("random"):
+        return RandomScorer(seed, m, 5.0, n_users=None if kind.endswith("without n") else n)
+    if kind == "zipf":
+        return ZipfScorer(np.random.default_rng(seed).permutation(m) + 1, 5.0)
+    rows = np.arange(max(n, m))
+    return readme_scorer_class()(make_dataset(rows % n, rows % m, np.ones(len(rows)), n=n, m=m))
+
+
+INDEX_DTYPES = [np.int64, np.int32, np.int8, np.uint64, np.uint16, np.uint8]
+
+
+@st.composite
+def drawn_index(draw, size, length=None, dtypes=INDEX_DTYPES):
+    """A Python or numpy int (`length` None) or an array of `length` indices
+    of a dtype drawn from `dtypes`, from below 0 to past `size`; unsigned
+    ones from 0."""
+    dtype = draw(st.sampled_from(dtypes + [int] * (length is None)))
+    low = -size - 2 if dtype is int or np.issubdtype(dtype, np.signedinteger) else 0
+    values = st.integers(low, size + 2)
+    if length is None:
+        return dtype(draw(values))
+    return np.array(draw(st.lists(values, min_size=length, max_size=length)), dtype=dtype)
+
+
+@st.composite
+def index_rule_cases(draw):
+    """A scorer, the (users, items) of one pair_scores call (two arrays of one
+    length, empty ones included, an int user against an item array, or two
+    ints where the scorer takes them) and the users of a few scores_for_user calls."""
+    kind = draw(st.sampled_from(SCORER_KINDS))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shapes = ["pairs"] + ["row", "ints"] * (kind not in ("dot", "cosine"))
+    shape = draw(st.sampled_from(shapes))
+    length = draw(st.integers(0, 4))
+    users = draw(drawn_index(n, None if shape != "pairs" else length))
+    items = draw(drawn_index(m, None if shape == "ints" else length))
+    # Users as top_k passes them, or as an int64 array holds them.
+    rows = draw(st.lists(drawn_index(n, dtypes=[np.int64]), min_size=1, max_size=4))
+    return kind, n, m, draw(st.integers(0, 2**32 - 1)), users, items, rows
+
+
+def assert_index_error(call, kind, index, size):
+    """`call()` raises the rule's IndexError, naming a `kind` index of `index`
+    outside [0, size), or below 0 where `size` is None."""
+    with pytest.raises(IndexError) as raised:
+        call()
+    where = "is negative" if size is None else f"is out of bounds for {size} {kind}s"
+    named = re.fullmatch(rf"{kind} index (-?\d+) {where}", str(raised.value))
+    assert named, str(raised.value)
+    assert int(named[1]) in np.ravel(index).tolist()
+    assert int(named[1]) < 0 or size is not None and int(named[1]) >= size
+
+
+def out_of_range(index, size):
+    return any(v < 0 or size is not None and v >= size for v in np.ravel(index).tolist())
+
+
+def bits(scores):
+    """The dtype, shape and bytes of an array or a numpy scalar."""
+    scores = np.asarray(scores)
+    return scores.dtype, scores.shape, scores.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=index_rule_cases())
+@example(case=("random", 3, 4, 1, np.array([-1]), np.array([0]), [-1]))
+@example(case=("cosine", 3, 4, 1, np.array([-1]), np.array([0]), [2, -1]))
+@example(case=("dot", 3, 4, 1, np.array([0]), np.array([-1]), [0, 3]))
+@example(case=("zipf", 3, 4, 1, np.array([-1]), np.array([-1]), [-1]))
+@example(case=("random without n", 3, 4, 1, np.array([7, -2], dtype=np.int8),
+               np.array([0, 4], dtype=np.uint64), [9, -5]))
+@example(case=("readme", 3, 4, 1, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+               [0, 3, 2]))
+def test_every_scorer_keeps_one_index_rule(case):
+    # A user outside [0, n), or below 0 without n, and an item outside
+    # [0, m) raise IndexError naming the index, ints and arrays alike; every
+    # other call returns the unchecked hook's values bit for bit.
+    kind, n, m, seed, users, items, rows = case
+    scorer = index_rule_scorer(kind, n, m, seed)
+    if out_of_range(users, scorer.n):
+        assert_index_error(lambda: scorer.pair_scores(users, items), "user", users, scorer.n)
+    elif out_of_range(items, m):
+        assert_index_error(lambda: scorer.pair_scores(users, items), "item", items, m)
+    else:
+        assert bits(scorer.pair_scores(users, items)) == bits(scorer._pair_scores(users, items))
+    for i in rows:  # served from blocks where the scorer counts its users
+        if out_of_range(i, scorer.n):
+            assert_index_error(lambda: scorer.scores_for_user(i), "user", i, scorer.n)
+        else:
+            assert bits(scorer.scores_for_user(i)) == bits(scorer.score_rows(i, i + 1)[0])
 
 
 @settings(max_examples=100, deadline=None)

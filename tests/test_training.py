@@ -253,7 +253,7 @@ def sequential_sgd_oracle(dataset, config):
                        scale=config.init_scale, mode=mode, r_max=dataset.r_max)
     U = start.U.tolist()
     V = start.V.tolist()
-    beta = config.beta if config.algorithm == "position_bias_mf" else 0.0
+    beta = config.beta
     lr = config.learning_rate
     rng = np.random.default_rng([config.seed, 1])
     for _ in range(config.epochs):
@@ -347,7 +347,8 @@ class TestTrain:
     def test_matches_sequential_oracle(self, algorithm):
         ds = zipf_popularity_dataset(40, 30, 10, seed=4, rating_scale=5.0,
                                      integer_ratings=True)
-        config = TrainConfig(algorithm=algorithm, beta=0.5, k=4, learning_rate=0.05,
+        beta = 0.5 if algorithm == "position_bias_mf" else 0.0
+        config = TrainConfig(algorithm=algorithm, beta=beta, k=4, learning_rate=0.05,
                              epochs=2, seed=7)
         model, _ = train(ds, config)
         U, V = sequential_sgd_oracle(ds, config)
@@ -477,6 +478,8 @@ class TestTrainConfig:
         {"beta": math.inf},
         {"init_scale": math.nan},
         {"init_scale": math.inf},
+        {"algorithm": "cosine_mf", "beta": 0.5},  # only position_bias_mf has a penalty
+        {"algorithm": "classic_mf", "beta": 7.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
