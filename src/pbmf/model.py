@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,12 @@ CHUNK_BYTES = 256 * 1024
 # pbmf evaluate from 47.0-47.2 MB to 47.2-47.4 MB (14 pairs on one CPU).
 RANK_BLOCK_BYTES = 256 * 1024
 BLOCK_RANK_MAX_M = 1000
+
+# FactorModel.score_rows scores a block by one matrix product only where every
+# norm of U's block and of V lies in this range: the factors' squares, products
+# and sums then do not overflow, what underflows is negligible against the
+# bound D, and a NaN or infinite factor has a norm outside it.
+GEMM_NORMS = (2.0**-400, 2.0**400)
 
 
 def cosine(dots: np.ndarray, u_norm: np.ndarray, v_norm: np.ndarray,
@@ -106,7 +113,7 @@ class Scorer:
     def scores_for_user(self, i: int) -> np.ndarray:
         """Ranking score of every item for user i, checked by the index rule
         on a block miss only, so a served row pays nothing."""
-        n, block = self.n, self._block
+        i, n, block = operator.index(i), self.n, self._block  # a Python int: no wrap
         if block is None or not 0 <= i - block[0] < len(block[1]):
             self._check_index(i, n, "user")
             if n is None:
@@ -174,7 +181,10 @@ class FactorModel(Scorer):
         """Score of each (users[t], items[t]) pair: U_i . V_j in dot mode,
         their cosine in cosine mode.  The pairs are scored in blocks of about
         CHUNK_BYTES of gathered rows; each score is the same per-row reduction
-        as in one gather of all N pairs, bit for bit."""
+        as in one gather of all N pairs, bit for bit.  One user index scores
+        against every item, as with the other scorers."""
+        if np.ndim(users) == 0:
+            users = np.full(len(items), users)
         if len(users) != len(items):
             raise ValueError(f"{len(users)} users but {len(items)} items")
         n_pairs = len(users)
@@ -198,32 +208,71 @@ class FactorModel(Scorer):
         return scores
 
     def score_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Ranking scores of users lo..hi-1: U_i . V_j, over the cached row
-        norms in cosine mode.  np.matmul runs one V @ U_i per user, so a row
-        equals that user's own V @ U_i bit for bit (one matrix product of the
-        block does not) and can differ in the last bit from `pair_scores`.
-        Where the smallest norms' product reaches NORM_EPSILON, so does every
+        """Ranking scores of users lo..hi-1 from one matrix product: U_i . V_j,
+        or in cosine mode U_i / |U_i| times the cached V_j / |V_j|.  A block
+        with a user outside `_cached_norms`' `fast` takes `_exact_rows`.
+        Every row is within D_i = (2k + 8) u (times |U_i| max_j |V_j| in dot
+        mode; 0 for a row that is exact) of the exact row, u = 2**-53:
+        - a k-term dot product, summed in any order, with fused multiply-adds
+          or not, is within g sum_l |a_l b_l| <= g |a| |b| of its value, g =
+          k u / (1 - k u); with norms in GEMM_NORMS, what underflows is far
+          below that;
+        - dot mode: both rows round U_i . V_j, so they are 2g |U_i| |V_j| apart;
+        - cosine mode: with N the cached norms, the exact row rounds the dot,
+          N_i N_j and the quotient: within (g + 2u) r of c = U_i . V_j / (N_i
+          N_j), r = |U_i| |V_j| / (N_i N_j) = 1 + O(g).  Each unit-scaled entry
+          is off by u, so their products sum to within 2u r of c, and the
+          product rounds within g r more: D = 2g + 4u + O(g**2);
+        - 2g < 2ku + 4k**2 u**2; for k <= 2**20 the 4u spare in D covers the
+          second-order terms, the cached norms' rounding and that of top_k's
+          comparisons (a rounded sum moves by at most u times its size)."""
+        *_, u_norm, _, _, v_right, fast, _ = self._cached_norms()
+        if not fast[lo:hi].all():
+            return self._exact_rows(lo, hi)
+        if self.mode == "dot":
+            return self.U[lo:hi] @ v_right
+        return (self.U[lo:hi] / u_norm[lo:hi, None]) @ v_right
+
+    def _exact_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The exact ranking scores of users lo..hi-1: np.matmul runs one
+        V @ U_i per user, over the cached row norms in cosine mode.  Where
+        the smallest norms' product reaches NORM_EPSILON, so does every
         |U_i| |V_j| (a rounded product is monotone), and the rows skip
         `cosine`'s floor, which would leave every denominator as it is."""
         dots = np.matmul(self.V, self.U[lo:hi, :, None])[:, :, 0]
         if self.mode == "dot":
             return dots
-        *_, u_norm, v_norm, v_min = self._cached_norms()
+        *_, u_norm, v_norm, v_min, _, _, _ = self._cached_norms()
         u_norm = u_norm[lo:hi, None]
         if u_norm.min(initial=np.inf) * v_min >= NORM_EPSILON:  # False for NaN
             return np.divide(dots, u_norm * v_norm, out=dots)
         return cosine(dots, u_norm, v_norm, out=dots)[0]
 
     def _cached_norms(self) -> tuple:
-        """(U, V, mode, U's row norms, V's, the smallest of V's), computed at
-        the first call and again, dropping the kept block, after a new array
-        is assigned to U or V or a new mode to `mode`.  U and V turn read-only."""
+        """(U, V, mode, U's row norms, V's, the smallest of V's, the right
+        factor of `score_rows`' product, which users it may score so, their
+        bounds D), computed at the first call and again, dropping the kept
+        block, after a new array is assigned to U or V or a new mode to
+        `mode`.  U and V turn read-only."""
         key = self._norms
         if key is None or key[0] is not self.U or key[1] is not self.V or key[2] != self.mode:
             self.U.setflags(write=False)
             self.V.setflags(write=False)
             u_norm, v_norm = (np.sqrt(np.einsum("ij,ij->i", f, f)) for f in (self.U, self.V))
-            self._norms = (self.U, self.V, self.mode, u_norm, v_norm, v_norm.min(initial=np.inf))
+            v_min, v_max = v_norm.min(initial=np.inf), v_norm.max(initial=0.0)
+            fast = ((GEMM_NORMS[0] <= u_norm) & (u_norm <= GEMM_NORMS[1])
+                    & (GEMM_NORMS[0] <= v_min <= v_max <= GEMM_NORMS[1]) & (self.k <= 2**20))
+            dot = self.mode == "dot"
+            if not dot:
+                fast[fast] = u_norm[fast] * v_min >= NORM_EPSILON
+            # V.T, of unit rows in cosine mode, in C order: a product with the
+            # transposed view of V took twice the time at m = 3,999.
+            v_right = None
+            if fast.any():  # then no norm of V is 0
+                v_right = np.ascontiguousarray((self.V if dot else self.V / v_norm[:, None]).T)
+            bound = np.zeros(len(u_norm))
+            bound[fast] = (2 * self.k + 8) * 2.0**-53 * (u_norm[fast] * v_max if dot else 1.0)
+            self._norms = (self.U, self.V, self.mode, u_norm, v_norm, v_min, v_right, fast, bound)
             self._block = None
         return self._norms
 
@@ -279,7 +328,8 @@ class TopKLists:
         return len(self.items)
 
 
-def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray,
+              gap: float | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """One user's list: the k_top best candidates of `row` and their scores.
 
     A row of at least 4 * k_top items is cut at the k-th best of every fourth
@@ -287,7 +337,12 @@ def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray) -> tuple[np.ndar
     the row.  A subset's k-th best is never better than the row's own, so the
     items as good as the cut hold the list and every tie at its end.  A cut
     of +inf or NaN leaves too few candidates, and the row's own k-th best,
-    from one partition in full, takes its place."""
+    from one partition in full, takes its place.
+
+    Given `gap` (see top_k), the cut is widened by it, so that a (k+1)-th
+    candidate within `gap` of the k-th is seen, and the list comes back only
+    if each of the k_top + 1 best candidates leads the next by more than
+    `gap`: None otherwise."""
     m = row.shape[0]
     neg = -row
     neg[exclude] = np.inf
@@ -298,35 +353,46 @@ def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray) -> tuple[np.ndar
         # At least k_top candidates are at or below kth in the negated row:
         # they and the ties of the k-th best are the items at or below it,
         # which leaves out the excluded items (+inf) and NaN.
-        near = (neg <= kth).nonzero()[0]
+        near = (neg <= kth + (gap or 0.0)).nonzero()[0]
     else:  # a k-th of +inf or NaN: every candidate
         excluded = np.zeros(m, dtype=bool)
         excluded[exclude] = True
         near = (~excluded).nonzero()[0]
     # Stable sort on the negated scores keeps ascending item index
     # within every group of tied scores, and puts NaN last.
-    top = near[np.argsort(neg[near], kind="stable")[:k_top]]
+    top = near[np.argsort(neg[near], kind="stable")[:k_top + 1]]
+    if gap is not None:  # in Python floats, which cost less than numpy calls here
+        ranked = neg[top].tolist()
+        for lead, after in zip(ranked, ranked[1:]):
+            if not after > lead + gap:
+                return None
+    top = top[:k_top]
     return top, row[top]
 
 
-def _rank_block(block: np.ndarray, k_top: int, exclude: list[np.ndarray]) -> list[tuple]:
-    """The lists of a (B, m) block of rows, m > k_top.  A row whose k-th best
-    candidate is finite, with exactly k_top candidates as good or better,
-    takes them from one partition of the block; the others go to _rank_row."""
+def _rank_block(block: np.ndarray, k_top: int, exclude: list[np.ndarray],
+                gaps: np.ndarray | None) -> list[tuple | None]:
+    """The lists of a (B, m) block of rows, m > k_top, from one partition of
+    the block: a row takes its k_top best candidates there if the k-th is
+    finite and leads the (k+1)-th, and given `gaps` (see top_k) only if each
+    of its k_top + 1 best leads the next by more than the row's gap.  The
+    others go to _rank_row."""
     neg = -block
     rows = np.repeat(np.arange(len(exclude)), [len(e) for e in exclude])
     neg[rows, np.concatenate([np.empty(0, np.intp), *filter(len, exclude)])] = np.inf
-    kth = np.partition(neg, k_top - 1, axis=1)[:, k_top - 1:k_top]
+    best = np.sort(np.partition(neg, k_top, axis=1)[:, :k_top + 1], axis=1)  # k_top + 1 best
+    kth = best[:, k_top - 1:k_top]
+    ahead = best[:, 1:] > best[:, :-1] + (0.0 if gaps is None else gaps[:, None])  # not NaN
+    regular = np.isfinite(kth[:, 0]) & (ahead[:, -1] if gaps is None else ahead.all(axis=1))
     within = neg <= kth  # False for the excluded items (+inf) and NaN scores
-    regular = np.isfinite(kth[:, 0]) & (np.count_nonzero(within, axis=1) == k_top)
     within[~regular] = False
     # The regular rows' members by flat index, in ascending item order, which
     # the stable sort keeps among tied scores.
     flat = np.flatnonzero(within).reshape(-1, k_top)
     flat = np.take_along_axis(flat, np.argsort(neg.ravel()[flat], axis=1, kind="stable"), axis=1)
     lists = zip(flat % block.shape[1], block.ravel()[flat])  # the regular rows' lists, in order
-    return [next(lists) if ok else _rank_row(row, k_top, skip)
-            for ok, row, skip in zip(regular.tolist(), block, exclude)]
+    return [next(lists) if ok else _rank_row(row, k_top, skip, None if gaps is None else gaps[r])
+            for r, (ok, row, skip) in enumerate(zip(regular.tolist(), block, exclude))]
 
 
 def top_k(
@@ -349,6 +415,12 @@ def top_k(
     outweighs a narrow row's partition and sort.  Wider rows are ranked one
     at a time: there a block's extra full-width passes (the copy and the
     count) cost more than the calls it saves.  Both give the same lists.
+
+    A FactorModel's row is within D_i of the exact one (see its score_rows).
+    If each of the row's k_top + 1 best candidates leads the next by more
+    than the gap 2 D_i, no score moved past another, and the list is the
+    exact row's, items and order.  Any other row is ranked again from
+    `_exact_rows`.  Only the list's scores may differ in the last bits.
     """
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
@@ -361,8 +433,14 @@ def top_k(
     m = first.shape[0]
     rows = itertools.chain([first], map(scorer.scores_for_user, range(1, n_users)))
     del first  # held by the chain alone, so a served block 0 can go once read
+    gaps = 2 * scorer._cached_norms()[-1] if isinstance(scorer, FactorModel) else None
+
+    def or_exact(i, ranked):  # a list not certified is ranked from the exact row
+        return ranked or _rank_row(scorer._exact_rows(i, i + 1)[0], k_top, exclude[i])
+
     if m <= k_top or m > BLOCK_RANK_MAX_M:
-        lists = [_rank_row(np.asarray(row, dtype=np.float64), k_top, exclude[i])
+        gap = [None] * n_users if gaps is None else gaps.tolist()
+        lists = [or_exact(i, _rank_row(np.asarray(row, np.float64), k_top, exclude[i], gap[i]))
                  for i, row in enumerate(rows)]
     else:
         lists, block = [], np.empty((_block_rows(m), m))
@@ -370,7 +448,9 @@ def top_k(
             size = min(len(block), n_users - lo)
             for r in range(size):
                 block[r] = next(rows)
-            lists += _rank_block(block[:size], k_top, [exclude[i] for i in range(lo, lo + size)])
+            ranked = _rank_block(block[:size], k_top, [exclude[i] for i in range(lo, lo + size)],
+                                 None if gaps is None else gaps[lo:lo + size])
+            lists += [or_exact(lo + r, ranked_r) for r, ranked_r in enumerate(ranked)]
     return TopKLists(items=[top for top, _ in lists], scores=[scores for _, scores in lists])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pbmf.data import RatingsDataset
+from pbmf.model import cosine
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -25,6 +26,33 @@ def make_dataset(users, items, ratings, n=None, m=None) -> RatingsDataset:
         user_map={str(i): i for i in range(n)},
         item_map={str(j): j for j in range(m)},
     )
+
+
+def exact_row(model, i) -> np.ndarray:
+    """User i's exact ranking row of a FactorModel, V @ U_i alone (over the
+    norms in cosine mode): the row that its served rows are certified against."""
+    U, V = model.U, model.V
+    if model.mode == "dot":
+        return V @ U[i]
+    return cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])),
+                  np.sqrt(np.einsum("ij,ij->i", V, V)))[0]
+
+
+def score_bound(model, i) -> float:
+    """The bound D_i of FactorModel.score_rows on user i's served row:
+    (2k + 8) 2**-53, times |U_i| max_j |V_j| in dot mode."""
+    scale = 1.0 if model.mode == "cosine" else (
+        np.linalg.norm(model.U[i]) * np.linalg.norm(model.V, axis=1).max())
+    return (2 * model.k + 8) * 2.0**-53 * scale
+
+
+def assert_within_bound(values, model, i, items=slice(None)) -> None:
+    """`values`, user i's scores of `items`, are the exact row's or within
+    `score_bound` of them."""
+    want = exact_row(model, i)[items]
+    assert values.dtype == want.dtype and values.shape == want.shape
+    if values.tobytes() != want.tobytes():
+        assert np.all(np.abs(values - want) <= score_bound(model, i))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import assert_within_bound
 from pbmf import model as model_module
 from pbmf.baselines import RandomScorer, ZipfScorer
 from pbmf.model import (
@@ -330,7 +331,10 @@ class TestTopK:
     @pytest.mark.parametrize("m", [40, model_module.BLOCK_RANK_MAX_M + 1])
     @pytest.mark.parametrize("kind", ["cosine", "random", "random_alone", "zipf"])
     def test_lists_do_not_depend_on_the_block_size(self, monkeypatch, m, kind):
-        # 23 users: blocks of 1 and 3 rows, and one block of every user at the default.
+        # 23 users: blocks of 1 and 3 rows, and one block of every user at the
+        # default.  A model's one product per block may round a score in
+        # another way at another height: its list scores stay within the
+        # bound of the exact row's, and its lists do not change.
         n, rng = 23, np.random.default_rng(20)
         U, V = rng.normal(size=(n, 8)), rng.normal(size=(m, 8))
         ranks = rng.permutation(m) + 1
@@ -342,6 +346,10 @@ class TestTopK:
                       "random_alone": lambda: RandomScorer(seed=3, n_items=m, r_max=5.0),
                       "zipf": lambda: ZipfScorer(popularity_rank=ranks, r_max=5.0)}[kind]()
             got = top_k(scorer, n_users=n, k_top=10, exclude=exclude)
+            if kind == "cosine":
+                for i, (items, scores) in enumerate(zip(got.items, got.scores)):
+                    assert_within_bound(scores, scorer, i, items)
+                return [a.tobytes() for a in got.items]
             return [a.tobytes() for a in got.items + got.scores]
 
         want = lists()
@@ -457,7 +465,9 @@ class TestItemNormCache:
 
     def test_rows_equal_per_user_expression_on_drawn_models(self):
         # The cached user norms come from one einsum over U; up to k = 8,192
-        # they equal the per-user einsum("j,j") bit for bit.
+        # they equal the per-user einsum("j,j") bit for bit.  A row is the
+        # per-user expression's, or within the bound of it where its block
+        # is scored by one product (no zero row in the block or in V).
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -472,10 +482,8 @@ class TestItemNormCache:
             U[zero_user:zero_user + 1] = 0.0  # past the last row: no zero row
             V[zero_item:zero_item + 1] = 0.0
             model = FactorModel(U=U, V=V, mode="cosine")
-            v_norm = np.sqrt(np.einsum("ij,ij->i", V, V))
             for i in range(n):
-                want = cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])), v_norm)[0]
-                assert np.array_equal(model.scores_for_user(i), want)
+                assert_within_bound(model.scores_for_user(i), model, i)
 
         check()
 
@@ -483,9 +491,10 @@ class TestItemNormCache:
     def test_rows_equal_floored_cosine_on_both_sides_of_the_floor(self, zero_item):
         # |U_i| near 1e-7 and |V_j| near 1e-5, so the products straddle
         # NORM_EPSILON.  In blocks of two users, the first block's smallest
-        # product reaches the floor and skips cosine(); the second's does not
-        # (though its largest does), nor does the third's, with a zero user,
-        # nor any block once V holds a zero row.
+        # product reaches the floor and skips cosine() (it is scored by one
+        # product, within the bound of the floored cosine); the second's does
+        # not (though its largest does), nor does the third's, with a zero
+        # user, nor any block once V holds a zero row.
         rng = np.random.default_rng(19)
         U, V = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
         U *= np.array([[1.2], [1.15], [0.95], [1.3], [0.0], [1.0]]) * 1e-7 / np.linalg.norm(
@@ -502,8 +511,7 @@ class TestItemNormCache:
         with mock.patch.object(model_module, "RANK_BLOCK_BYTES", 2 * 8 * 5), \
                 mock.patch.object(model_module, "cosine", wraps=cosine) as spy:
             for i in range(6):
-                want = cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])), v_norm)[0]
-                assert model.scores_for_user(i).tobytes() == want.tobytes()
+                assert_within_bound(model.scores_for_user(i), model, i)
         assert spy.call_count == (3 if zero_item else 2)  # the blocks that reach no floor
 
     @pytest.mark.parametrize("m", [4, model_module.BLOCK_RANK_MAX_M + 1])
@@ -526,7 +534,7 @@ class TestItemNormCache:
     def test_rows_are_served_from_blocks(self, kind, m):
         # Either mode and either side of BLOCK_RANK_MAX_M: every user's row is
         # a read-only row of one score_rows call per block, bit-equal to the
-        # user's own row.
+        # user's own row (a model's within the bound of it).
         n = 70  # one block at m = 4, three at m = 1,001
         rng = np.random.default_rng(22)
         U, V = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
@@ -535,16 +543,16 @@ class TestItemNormCache:
             own = [scorer.pair_scores(i, np.arange(m)) for i in range(n)]
         else:
             scorer = FactorModel(U=U, V=V, mode=kind)
-            v_norm = np.sqrt(np.einsum("ij,ij->i", V, V))
-            own = [V @ U[i] if kind == "dot" else
-                   cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])), v_norm)[0]
-                   for i in range(n)]
         calls = []
         score_rows = scorer.score_rows
         scorer.score_rows = lambda lo, hi: calls.append((lo, hi)) or score_rows(lo, hi)
         for i in range(n):
             row = scorer.scores_for_user(i)
-            assert row.tobytes() == own[i].tobytes() and not row.flags.writeable
+            assert not row.flags.writeable
+            if kind == "random":
+                assert row.tobytes() == own[i].tobytes()
+            else:
+                assert_within_bound(row, scorer, i)
         height = model_module._block_rows(m)
         assert calls == [(lo, min(lo + height, n)) for lo in range(0, n, height)]
         if kind != "random":  # a kept block cannot go stale through the factors

@@ -3,7 +3,9 @@ against one SGD step at a time, `items_by_user` against a grouping in file
 order, `split` against a set-based filter of the held-out rows, `top_k`
 against a plain `sorted` and a full stable `argsort`, also across many
 blocks, the score rows the scorers serve from blocks against one user's
-row at a time, every scorer's index checks against the one index rule and
+row at a time (a model's within its bound), a model's top-k lists against
+those of its exact rows, also under any rows within the bound, every
+scorer's index checks against the one index rule and
 its unchecked hook, the Matthew degree against its formula, the rating-file writer
 against the loader, both loaders against a row-by-row reference, the
 MovieLens loader against a line-by-line one on drawn raw lines and on drawn
@@ -34,7 +36,7 @@ from pbmf.model import Scorer, TopKLists, top_k  # noqa: E402
 from pbmf.synthetic import write_movielens_file  # noqa: E402
 from pbmf.training import ALGORITHMS, TrainConfig, train  # noqa: E402
 
-from conftest import make_dataset  # noqa: E402
+from conftest import assert_within_bound, exact_row, make_dataset, score_bound  # noqa: E402
 from test_readme import python_blocks, run_block  # noqa: E402
 from test_training import sequential_sgd_oracle  # noqa: E402
 
@@ -260,9 +262,9 @@ def test_top_k_row_by_row_matches_stable_argsort():
     lengths = []  # of the arrays partitioned while one row is ranked
     rank_row, partition = model_module._rank_row, np.partition
 
-    def rank_row_spy(row, k_top, exclude):
+    def rank_row_spy(row, k_top, exclude, gap=None):
         lengths.clear()
-        ranked = rank_row(row, k_top, exclude)
+        ranked = rank_row(row, k_top, exclude, gap)
         paths.add("cut" if len(lengths) == 1 and lengths[0] < len(row) else "full")
         return ranked
 
@@ -329,17 +331,6 @@ def served_row_cases(draw):
     return kind, U, V, draw(st.integers(0, 2**64 - 1)), order, draw(st.integers(1, 3)), change
 
 
-def served_row_oracle(scorer, i):
-    """The row a scorer owes user i, from its current factors, one user at a time."""
-    if isinstance(scorer, RandomScorer):
-        return scorer.pair_scores(i, np.arange(scorer.m))
-    U, V = scorer.U, scorer.V
-    if scorer.mode == "dot":
-        return V @ U[i]
-    return model_module.cosine(V @ U[i], np.sqrt(np.einsum("j,j", U[i], U[i])),
-                               np.sqrt(np.einsum("ij,ij->i", V, V)))[0]
-
-
 @settings(max_examples=300, deadline=None)
 @given(case=served_row_cases())
 @example(case=("cosine", np.ones((7, 2)), np.eye(2), 0, [6, 5, 4, 3, 2, 1, 0], 3,
@@ -358,9 +349,11 @@ def test_served_rows_equal_per_user_rows(case):
         for t, i in enumerate(order):
             if change is not None and t == change[0]:
                 setattr(scorer, change[1], change[2])
-            row = scorer.scores_for_user(i)
-            want = served_row_oracle(scorer, i)
-            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+            row = scorer.scores_for_user(i)  # from the current factors
+            if kind == "random":
+                assert row.tobytes() == scorer.pair_scores(i, np.arange(m)).tobytes()
+            else:
+                assert_within_bound(row, scorer, i)
             assert not row.flags.writeable
             scored += (t == 0 or i // block_rows != order[t - 1] // block_rows
                        or (change is not None and t == change[0])
@@ -369,6 +362,144 @@ def test_served_rows_equal_per_user_rows(case):
     for lo, hi in calls:
         assert lo % block_rows == 0
         assert hi == min(lo + block_rows, len(U))
+
+
+@st.composite
+def certified_ranking_cases(draw, spoils=(None, "zero", "tiny", "huge", "nan", "inf")):
+    """A dot or cosine model whose items hold planted near-ties among one
+    user's k_top + 1 best: copied rows, rows scaled by a power of 2 or by
+    1 + r 2**-52, rows a few ulps apart in each entry and permuted rows.
+    The factors are normal or, as `init_model` draws them, positive, and
+    that user's row may be flat, so that its scores of permuted rows tie
+    in exact arithmetic and part only by rounding.  m is drawn below
+    4 * k_top, in the blocks of top_k or past BLOCK_RANK_MAX_M.  A factor
+    row may be zero, tiny or huge (norms the products skip) or hold a NaN
+    or an infinity, where `spoils` allows.  Exclusions, k_top and the
+    block height are drawn too."""
+    mode = draw(st.sampled_from(["dot", "cosine"]))
+    wide = model_module.BLOCK_RANK_MAX_M + 1
+    m = draw(st.integers(1, 12) | st.integers(13, 80) | st.integers(wide, wide + 40))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 8) | st.sampled_from([64, 256, 1024]))
+    k_top = draw(st.integers(1, 12) | st.just(m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = rng.normal if draw(st.booleans()) else lambda size: 1.0 - rng.random(size)
+    U, V = factors(size=(n, k)), factors(size=(m, k))
+    user = rng.integers(n)
+    if draw(st.booleans()):
+        U[user] = U[user, 0]
+    best = np.argsort(-(V @ U[user]), kind="stable")[:k_top + 1]
+    ties = st.sampled_from(["copy", "scaled", "nudged", "ulps", "permuted"])
+    for tie in draw(st.lists(ties, max_size=16)):
+        j, source = rng.integers(m), V[rng.choice(best)]
+        V[j] = source * {"scaled": 2.0 ** rng.integers(-3, 4),
+                         "nudged": 1.0 + rng.integers(1, 9) * 2.0**-52}.get(tie, 1.0)
+        if tie == "ulps":
+            V[j] += rng.integers(-3, 4, k) * np.spacing(source)
+        elif tie == "permuted":
+            V[j] = rng.permutation(source)
+    spoil = draw(st.sampled_from(spoils))
+    if spoil is not None:
+        factors = draw(st.sampled_from([U, V]))
+        row = rng.integers(len(factors))
+        if spoil in ("nan", "inf"):
+            factors[row, rng.integers(k)] = np.nan if spoil == "nan" else -np.inf
+        else:
+            factors[row] *= {"zero": 0.0, "tiny": 2.0**-500, "huge": 2.0**500}[spoil]
+    exclude = None
+    if draw(st.booleans()):
+        exclude = [np.flatnonzero(rng.random(m) < share)
+                   for share in rng.choice([0.0, 0.1, 0.5, 1.0], n)]
+    return model_module.FactorModel(U=U, V=V, mode=mode), k_top, exclude, draw(st.integers(1, 4))
+
+
+def exact_rows(model):
+    """A scorer stub serving a model's exact rows."""
+    return RowScorer([exact_row(model, i) for i in range(model.n)])
+
+
+def test_top_k_of_a_model_equals_top_k_of_its_exact_rows():
+    # A model's lists, items and order, are those of its exact rows bit for
+    # bit, and its list scores are within the bound of the exact ones.
+    # A spy sees both ways a list is settled: a row of a block scored by one
+    # product is certified, or it is ranked again from its exact row.
+    paths = set()
+    score_rows = model_module.FactorModel.score_rows
+    model_rows = model_module.FactorModel._exact_rows
+    fallback, rescored, inside = set(), set(), []
+
+    def score_rows_spy(self, lo, hi):
+        inside.append((lo, hi))
+        try:
+            return score_rows(self, lo, hi)
+        finally:
+            inside.pop()
+
+    def exact_rows_spy(self, lo, hi):
+        (fallback if inside else rescored).update(range(lo, hi))
+        return model_rows(self, lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=certified_ranking_cases())
+    # Two copies of the best item of a one-user cosine model: a tie, rescored.
+    @example(case=(model_module.FactorModel(U=np.array([[1.0, 0.5]]),
+                                            V=np.array([[0.3, 0.2], [1.0, 0.4], [1.0, 0.4],
+                                                        [0.1, 0.9], [0.2, 0.2]])), 2, None, 1))
+    def check(case):
+        model, k_top, exclude, block_rows = case
+        n, m = model.n, model.m
+        fallback.clear()
+        rescored.clear()
+        finite = np.isfinite(model.U).all() and np.isfinite(model.V).all()
+        with np.errstate(all="ignore") if not finite else contextlib.nullcontext(), \
+                mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * m), \
+                mock.patch.object(model_module.FactorModel, "score_rows", score_rows_spy), \
+                mock.patch.object(model_module.FactorModel, "_exact_rows", exact_rows_spy):
+            lists = top_k(model, n, k_top, exclude=exclude)
+            want = top_k(exact_rows(model), n, k_top, exclude=exclude)
+            for i in range(n):
+                assert lists.items[i].dtype == want.items[i].dtype
+                assert lists.items[i].tobytes() == want.items[i].tobytes()
+                assert_within_bound(lists.scores[i], model, i, lists.items[i])
+        product = set(range(n)) - fallback  # the users scored by one product
+        if product - rescored:
+            paths.add("certified")
+        if product & rescored:
+            paths.add("rescored")
+
+    check()
+    assert paths == {"certified", "rescored"}
+
+
+def nudged_pair(m):
+    """A one-user dot model over m items whose best two, items 1 and 0, are
+    2**-51 of a score apart, far ahead of the others."""
+    V = np.vstack([[1.0, 1.0], [1.0 + 2.0**-51] * 2, np.full((m - 2, 2), 0.1)])
+    return model_module.FactorModel(U=np.ones((1, 2)), V=V, mode="dot")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=certified_ranking_cases(spoils=[None]), seed=st.integers(0, 2**32 - 1))
+# Seed 2 moves item 0 up and item 1 down: item 0 leads in the served row by
+# less than 2 D.  Item 1 is not sampled (1 % 4), so only the widened cut of a
+# wide row sees it.
+@example(case=(nudged_pair(model_module.BLOCK_RANK_MAX_M + 1), 1, None, 1), seed=2)
+@example(case=(nudged_pair(40), 1, None, 1), seed=2)
+def test_top_k_ranks_any_rows_within_the_bound_as_the_exact_rows(case, seed):
+    # Whatever rows within D_i of the exact ones a model serves, its lists are
+    # the exact rows': here each score moves by 0.9 D_i (or stays) in a
+    # drawn direction, so that tied items part by up to 1.8 D_i.
+    model, k_top, exclude, block_rows = case
+    rng = np.random.default_rng(seed)
+
+    def moved_rows(self, lo, hi):
+        return np.array([exact_row(self, i) + 0.9 * score_bound(self, i)
+                         * rng.choice([-1.0, 0.0, 1.0], self.m) for i in range(lo, hi)])
+
+    with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * model.m), \
+            mock.patch.object(model_module.FactorModel, "score_rows", moved_rows):
+        lists = top_k(model, model.n, k_top, exclude=exclude)
+    want = top_k(exact_rows(model), model.n, k_top, exclude=exclude)
+    assert [a.tobytes() for a in lists.items] == [a.tobytes() for a in want.items]
 
 
 SCORER_KINDS = ["dot", "cosine", "random", "random without n", "zipf", "readme"]
@@ -416,13 +547,14 @@ def index_rule_cases(draw):
     ints where the scorer takes them) and the users of a few scores_for_user calls."""
     kind = draw(st.sampled_from(SCORER_KINDS))
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    shapes = ["pairs"] + ["row", "ints"] * (kind not in ("dot", "cosine"))
+    shapes = ["pairs", "row"] + ["ints"] * (kind not in ("dot", "cosine"))
     shape = draw(st.sampled_from(shapes))
     length = draw(st.integers(0, 4))
     users = draw(drawn_index(n, None if shape != "pairs" else length))
     items = draw(drawn_index(m, None if shape == "ints" else length))
-    # Users as top_k passes them, or as an int64 array holds them.
-    rows = draw(st.lists(drawn_index(n, dtypes=[np.int64]), min_size=1, max_size=4))
+    # Users as top_k passes them, as an int64 array holds them, or narrow.
+    rows = draw(st.lists(drawn_index(n, dtypes=[np.int64, np.int8, np.uint64]),
+                         min_size=1, max_size=4))
     return kind, n, m, draw(st.integers(0, 2**32 - 1)), users, items, rows
 
 
@@ -458,6 +590,8 @@ def bits(scores):
                np.array([0, 4], dtype=np.uint64), [9, -5]))
 @example(case=("readme", 3, 4, 1, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                [0, 3, 2]))
+@example(case=("cosine", 3, 4, 1, np.int8(2), np.arange(4), [np.int8(1), np.uint64(0)]))
+@example(case=("dot", 40, 4000, 1, np.uint64(0), np.arange(4), [np.uint64(20), np.uint64(1)]))
 def test_every_scorer_keeps_one_index_rule(case):
     # A user outside [0, n), or below 0 without n, and an item outside
     # [0, m) raise IndexError naming the index, ints and arrays alike; every
@@ -474,7 +608,11 @@ def test_every_scorer_keeps_one_index_rule(case):
         if out_of_range(i, scorer.n):
             assert_index_error(lambda: scorer.scores_for_user(i), "user", i, scorer.n)
         else:
-            assert bits(scorer.scores_for_user(i)) == bits(scorer.score_rows(i, i + 1)[0])
+            # Row i - lo of the block of users lo.. that top_k would be served.
+            height = model_module._block_rows(m) if scorer.n else 1
+            lo = int(i) - int(i) % height
+            block = scorer.score_rows(lo, min(lo + height, scorer.n or lo + 1))
+            assert bits(scorer.scores_for_user(i)) == bits(block[int(i) - lo])
 
 
 @settings(max_examples=100, deadline=None)
