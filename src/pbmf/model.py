@@ -481,7 +481,10 @@ def load_model(path: str | Path) -> FactorModel:
 
     Raises :class:`ValueError` naming the file for a file of another kind
     or version and for an inconsistent payload, including non-finite
-    factors and an `r_max` that is not a finite positive number.
+    factors, a factor entry of magnitude above 2**400 (the top of
+    `GEMM_NORMS`) and an `r_max` that is not a finite positive number.  Under
+    that bound no dot product, norm or product of norms of rows of up to
+    2**200 entries overflows.  A `FactorModel` built by hand is not checked.
     """
     blob = Path(path).read_bytes()
     if len(blob) >= len(MAGIC) and blob[: len(MAGIC)] != MAGIC:
@@ -506,6 +509,8 @@ def load_model(path: str | Path) -> FactorModel:
     flat = np.frombuffer(blob, dtype="<f8", count=n * k + m * k, offset=_HEADER.size)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: factor matrices hold non-finite values")
+    if max(flat.max(), -flat.min()) > GEMM_NORMS[1]:
+        raise ValueError(f"{path}: factor matrices hold values of magnitude above 2**400")
     U = flat[: n * k].reshape(n, k).astype(np.float64)
     V = flat[n * k :].reshape(m, k).astype(np.float64)
     return FactorModel(U=U, V=V, mode=_MODE_NAMES[mode_code], r_max=r_max)

@@ -8,11 +8,15 @@ with a known, strong popularity skew.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .data import RatingsDataset
+
+WRITE_BLOCK_ROWS = 1024  # rating lines formatted and written at a time
+_LINE = "{}::{}::{}::{}\n".format
 
 
 def zipf_popularity_dataset(
@@ -31,35 +35,83 @@ def zipf_popularity_dataset(
     probability proportional to 1/(j+1)^popularity_exponent.  Ratings track
     the item's click propensity (head items score near `rating_scale`, tail
     items near the bottom) plus a little per-interaction noise.  With
-    `integer_ratings` the values are rounded onto 1..rating_scale, matching
-    rating-file conventions.
-    """
-    if interactions_per_user > n_items:
-        raise ValueError("interactions_per_user cannot exceed n_items")
-    rng = np.random.default_rng(seed)
-    propensity = (1.0 / np.arange(1, n_items + 1)) ** popularity_exponent
-    weights = propensity / propensity.sum()
+    `integer_ratings` the values are rounded half to even onto
+    1..rating_scale, matching rating-file conventions.
 
-    users = np.empty(n_users * interactions_per_user, dtype=np.int64)
-    items = np.empty_like(users)
-    ratings = np.empty(users.shape[0], dtype=np.float64)
-    for i in range(n_users):
-        lo = i * interactions_per_user
-        hi = lo + interactions_per_user
-        chosen = rng.choice(n_items, size=interactions_per_user, replace=False, p=weights)
-        noise = rng.normal(0.0, 0.1, size=interactions_per_user)
-        users[lo:hi] = i
-        items[lo:hi] = chosen
-        if integer_ratings:
-            raw = 1.0 + (rating_scale - 1.0) * propensity[chosen] + noise * rating_scale
-            ratings[lo:hi] = np.clip(np.rint(raw), 1.0, rating_scale)
-        else:
-            ratings[lo:hi] = rating_scale * np.clip(
-                propensity[chosen] + noise, 0.05, 1.0
-            )
+    The draws are those of a loop over users, in user order, of
+    `rng.choice(n_items, interactions_per_user, replace=False, p=weights)`
+    and then `rng.normal(0.0, 0.1, interactions_per_user)`, with `rng =
+    np.random.default_rng(seed)`.  `choice` itself is not called: its
+    rounds are replayed below, so one seed gives the same dataset, bit for
+    bit, as that loop.
+
+    Raises `ValueError` naming the argument for fewer than one user or
+    item, an `interactions_per_user` outside 1..n_items, a non-finite
+    exponent, and an exponent that leaves fewer than
+    `interactions_per_user` items a nonzero weight.
+    """
+    for name, value in (("n_users", n_users), ("n_items", n_items)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not 1 <= interactions_per_user <= n_items:
+        raise ValueError(f"interactions_per_user must be in 1..n_items={n_items}, "
+                         f"got {interactions_per_user}")
+    if not math.isfinite(popularity_exponent):
+        raise ValueError(f"popularity_exponent must be finite, got {popularity_exponent}")
+    # A steep negative exponent overflows the propensities or their sum; the
+    # weights then hold zeros and NaN, which the check below counts as zero.
+    with np.errstate(over="ignore", invalid="ignore"):
+        propensity = (1.0 / np.arange(1, n_items + 1)) ** popularity_exponent
+        weights = propensity / propensity.sum()
+    if np.count_nonzero(weights > 0) < interactions_per_user:
+        raise ValueError(
+            f"popularity_exponent={popularity_exponent} leaves fewer than "
+            f"interactions_per_user={interactions_per_user} items a nonzero weight"
+        )
+
+    # Generator.choice(p=..., replace=False) draws in rounds: random() for
+    # each item still missing, looked up with searchsorted(side="right") in
+    # the normalised cumsum of p with the items found so far zeroed, keeping
+    # each new item at its first occurrence.  The first round's cdf is the
+    # same for every user; only a user whose round drew a repeat pays more.
+    # A zeroed item cannot be drawn again, so each round finds a new item,
+    # and the weight check above leaves enough of them for the loop to end.
+    rng = np.random.default_rng(seed)
+    first_cdf = np.cumsum(weights)
+    first_cdf /= first_cdf[-1]
+    per_user = interactions_per_user
+    items = np.empty(n_users * per_user, dtype=np.int64)
+    ratings = np.empty(items.shape[0], dtype=np.float64)  # the noise, until the end
+    for lo in range(0, items.shape[0], per_user):
+        found = dict.fromkeys(first_cdf.searchsorted(rng.random(per_user), side="right").tolist())
+        while len(found) < per_user:
+            p = weights.copy()
+            p[list(found)] = 0.0
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            drawn = cdf.searchsorted(rng.random(per_user - len(found)), side="right")
+            found.update(dict.fromkeys(drawn.tolist()))
+        items[lo:lo + per_user] = list(found)
+        ratings[lo:lo + per_user] = rng.normal(0.0, 0.1, per_user)
+
+    # In place, in the operation order of the per-user expressions
+    # 1 + (s - 1) * p + noise * s and s * clip(p + noise, 0.05, 1).
+    scaled = propensity[items]
+    if integer_ratings:
+        scaled *= rating_scale - 1.0
+        scaled += 1.0
+        ratings *= rating_scale
+        ratings += scaled
+        np.rint(ratings, out=ratings)
+        np.clip(ratings, 1.0, rating_scale, out=ratings)
+    else:
+        ratings += scaled
+        np.clip(ratings, 0.05, 1.0, out=ratings)
+        ratings *= rating_scale
+    del scaled  # before `users` exists: at most three row-sized arrays at once
 
     return RatingsDataset(
-        users=users,
+        users=np.repeat(np.arange(n_users, dtype=np.int64), per_user),
         items=items,
         ratings=ratings,
         n=n_users,
@@ -73,9 +125,19 @@ def zipf_popularity_dataset(
 def write_movielens_file(dataset: RatingsDataset, path: str | Path) -> None:
     """Write a dataset as `UserID::MovieID::Rating::Timestamp` lines.
 
-    Ids are shifted to 1-based and ratings rounded to integers, matching the
-    classic rating-file layout; timestamps are synthetic and increasing.
+    Ids are shifted to 1-based and ratings rounded half to even to integers
+    (Python's `round`), matching the classic rating-file layout; timestamps
+    are synthetic and increasing.  Lines are formatted and written
+    `WRITE_BLOCK_ROWS` at a time.
     """
+    users, items, ratings = dataset.users, dataset.items, dataset.ratings
     with open(path, "w", encoding="utf-8") as fh:
-        for t, (u, j, r) in enumerate(zip(dataset.users, dataset.items, dataset.ratings)):
-            fh.write(f"{u + 1}::{j + 1}::{int(round(float(r)))}::{978300000 + t}\n")
+        for lo in range(0, len(ratings), WRITE_BLOCK_ROWS):
+            hi = lo + WRITE_BLOCK_ROWS
+            fh.write("".join(map(
+                _LINE,
+                (users[lo:hi] + 1).tolist(),
+                (items[lo:hi] + 1).tolist(),
+                map(round, ratings[lo:hi].tolist()),
+                range(978300000 + lo, 978300000 + hi),
+            )))

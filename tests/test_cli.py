@@ -14,7 +14,7 @@ from pbmf.cli import build_parser, main
 from pbmf.data import SplitSpec, load_movielens, split
 from pbmf.metrics import (REPORT_COLUMNS, evaluate_all, format_value, mae, matthew_degree,
                           position_bias_metric, report_row)
-from pbmf.model import init_model, load_model, save_model, top_k
+from pbmf.model import FactorModel, init_model, load_model, save_model, top_k
 from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset
 from pbmf.training import TrainConfig, train, train_runs
 
@@ -761,6 +761,10 @@ def _nan_first_factor(blob):
     return blob[:38] + struct.pack("<d", float("nan")) + blob[46:]
 
 
+def _huge_first_factor(blob):
+    return blob[:38] + struct.pack("<d", -2.0**401) + blob[46:]
+
+
 # What the user sees for each bad input: the exit code and the last stderr
 # line, or for `benchmark` the row's error cell.  `bad` is the bytes of a bad
 # rating file, or for `evaluate` a function spoiling a valid model file's
@@ -799,6 +803,8 @@ ERROR_CATALOGUE = {
                              "(expected {size} bytes, found {size_plus_8})"),
     "model_nan_factor": ("evaluate", _nan_first_factor, [],
                          "error: {path}: factor matrices hold non-finite values"),
+    "model_huge_factor": ("evaluate", _huge_first_factor, [],
+                          "error: {path}: factor matrices hold values of magnitude above 2**400"),
 }
 
 
@@ -829,6 +835,23 @@ def test_error_catalogue(case, ratings_file, tmp_path, capsys):
         assert [row["error"] for row in read_csv_rows(out)] == [expected]
     else:
         assert err.splitlines()[-1] == expected
+
+
+def test_evaluate_rejects_huge_finite_factors(tmp_path):
+    """Factors near 1e160 overflow their products: `evaluate` names the file in
+    one line and exits 1, instead of reporting NaN metrics after a warning."""
+    ratings = tmp_path / "ratings.dat"
+    write_movielens_file(zipf_popularity_dataset(30, 20, 20, seed=1, rating_scale=5.0,
+                                                 integer_ratings=True), ratings)
+    rng = np.random.default_rng(0)
+    path = tmp_path / "huge.pbmf"
+    save_model(FactorModel(U=rng.random((30, 4)) * 1e160, V=rng.random((20, 4)) * 1e160,
+                           r_max=5.0), path)
+    child = run_pbmf(["evaluate", "--input", str(ratings), "--model", str(path)])
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.splitlines() == [
+        f"error: {path}: factor matrices hold values of magnitude above 2**400"]
 
 
 def test_stdout_matches_output_file(ratings_file, tmp_path, capsys):

@@ -611,6 +611,31 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("mode", ["cosine", "dot"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_factor_magnitude_above_2_pow_400_is_corruption(self, tmp_path, mode, sign):
+        rng = np.random.default_rng(0)
+        U, V = rng.random((30, 4)), rng.random((20, 4))
+        path = tmp_path / "model.pbmf"
+        U[0] = V[0] = sign * 2.0**400
+        save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
+        edge = load_model(path)  # at the bound: every score is finite, without a warning
+        assert np.isfinite(edge.pair_scores(np.arange(30).repeat(20), np.tile(np.arange(20), 30))).all()
+        top_k(edge, 30, 5)
+        V[19, 3] = sign * np.nextafter(2.0**400, np.inf)
+        save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
+        with pytest.raises(ValueError, match=r"model\.pbmf: factor matrices hold values of "
+                                             r"magnitude above 2\*\*400$"):
+            load_model(path)
+
+    def test_huge_finite_factors_are_corruption(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "model.pbmf"
+        save_model(FactorModel(U=rng.random((30, 4)) * 1e160, V=rng.random((20, 4)) * 1e160,
+                               r_max=5.0), path)
+        with pytest.raises(ValueError, match="magnitude above 2"):
+            load_model(path)
+
     def test_wrong_magic_is_format_error(self, tmp_path):
         model = init_model(2, 2, 2, seed=0)
         path = tmp_path / "model.pbmf"
