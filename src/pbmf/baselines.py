@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .data import RatingsDataset
@@ -29,21 +31,20 @@ class RandomScorer(Scorer):
     The seed keys a 64-bit hash, so it must lie in [0, 2**64).  The draws
     are counter-based: a value depends only on (seed, user, item), never on
     how many draws happened before, so evaluation order cannot change it.
-    Given the user count `n_users`, it scores ranking rows a block of users
-    at a time and a user at or past it raises IndexError; without it only a
-    negative user does (the index rule of `model.Scorer`).
+    It scores ranking rows a block of users at a time; a user outside
+    [0, n_users) raises IndexError (the index rule of `model.Scorer`).
     """
 
-    def __init__(self, seed: int, n_items: int, r_max: float, n_users: int | None = None):
+    def __init__(self, seed: int, n_items: int, r_max: float, n_users: int):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         self.seed = int(seed)
         self.m = int(n_items)
-        self.n = None if n_users is None else int(n_users)
+        self.n = int(n_users)
         self.r_max = float(r_max)
         with np.errstate(over="ignore"):
             self._seed_hash = _mix64(_U64(seed) ^ _GOLDEN)  # the same for every draw
-        self._items: np.ndarray | None = None  # arange(m) as uint64, made at the first row
+        self._items = np.arange(self.m, dtype=np.uint64)
 
     def _pair_scores(self, users, items) -> np.ndarray:
         """Uniform [0, 1) draws keyed on (seed, user, item), the indices as
@@ -57,8 +58,6 @@ class RandomScorer(Scorer):
     def score_rows(self, lo: int, hi: int) -> np.ndarray:
         """_pair_scores of users lo..hi-1 against every item: the users' hashes
         are mixed once, as a column, then the grid against the items."""
-        if self._items is None:
-            self._items = np.arange(self.m, dtype=np.uint64)
         users = np.arange(hi - lo, dtype=np.uint64) + _U64(lo)
         return self._pair_scores(users[:, None], self._items)
 
@@ -67,11 +66,12 @@ class ZipfScorer(Scorer):
     """Scores item j as 1 / popularity_rank(j), independent of the user.
 
     Rank 1 is the most-rated training item, so the score sequence over the
-    ranked items is 1, 1/2, 1/3, ... — the Zipf click profile.  With no user
-    count, only a negative user breaks the index rule of `model.Scorer`.
+    ranked items is 1, 1/2, 1/3, ... — the Zipf click profile.  Every one of
+    the `n_users` users gets that row.
     """
 
-    def __init__(self, popularity_rank: np.ndarray, r_max: float):
+    def __init__(self, popularity_rank: np.ndarray, r_max: float, n_users: int):
+        self.n = int(n_users)
         self.r_max = float(r_max)
         self._inv_rank = 1.0 / np.asarray(popularity_rank, dtype=np.int64)
         self._inv_rank.setflags(write=False)
@@ -84,12 +84,12 @@ class ZipfScorer(Scorer):
         order = np.argsort(-np.bincount(dataset.items, minlength=dataset.m), kind="stable")
         ranks = np.empty(dataset.m, dtype=np.int64)
         ranks[order] = np.arange(1, dataset.m + 1)
-        return cls(ranks, dataset.r_max)
+        return cls(ranks, dataset.r_max, dataset.n)
 
     def _pair_scores(self, users, items) -> np.ndarray:
         return self._inv_rank[np.asarray(items)]
 
     def scores_for_user(self, i: int) -> np.ndarray:
         """The read-only 1 / rank row itself: every user's row is the same."""
-        self._check_index(i, None, "user")
+        self._check_index(operator.index(i), self.n, "user")
         return self._inv_rank

@@ -101,7 +101,7 @@ def evaluate_all(
     Top-k lists for the Matthew degree are built over all m items with each
     user's training items excluded.
     """
-    lists = top_k(scorer, train.n, k_top, exclude=train.items_by_user())
+    lists = top_k(scorer, k_top, exclude=train.items_by_user())
     return MetricsReport(
         algorithm=algorithm,
         beta=beta,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import struct
@@ -64,34 +63,38 @@ def _block_rows(m: int) -> int:
 
 class Scorer:
     """What the metrics read of a scorer, derived from the subclass's hook
-    `_pair_scores(users, items)`, its `r_max` and its item count `m`; the
-    hooks see only indices that keep the index rule of `_check_index`.
+    `_pair_scores(users, items)`, its `r_max`, its user count `n` and its
+    item count `m`; the hooks see only indices that keep the index rule of
+    `_check_index`.
 
-    A scorer with a user count `n` serves `scores_for_user(i)` as user i's
-    row of a read-only block of `score_rows(lo, hi)`, the users
-    lo = i - i % B onward and none past the last, with B from
-    RANK_BLOCK_BYTES as in `top_k`.  The block is scored at the first call
-    that needs it and kept until a call needs another block or the last
-    user's row is served; a subclass whose rows change drops it by setting
-    `_block` to None.  A scorer without `n` scores each call's user alone."""
+    `scores_for_user(i)` serves user i's row of a read-only block of
+    `score_rows(lo, hi)`, the users lo = i - i % B onward and none past the
+    last, with B from RANK_BLOCK_BYTES as in `top_k`.  The block is scored
+    at the first call that needs it and kept until a call needs another
+    block or the last user's row is served; a subclass whose rows change
+    drops it by setting `_block` to None."""
 
-    n: int | None = None  # the user count, where the scorer has one
+    n: int  # the user count
+    m: int  # the item count
     _block: tuple | None = None  # (lo, rows) of the block being served
 
     @staticmethod
-    def _check_index(index, size: int | None, name: str) -> None:
-        """The index rule of every scorer: a user index (`size` n, None without
-        n) or an item index (`size` m), an int or an array, outside [0, size)
-        raises IndexError naming it.  An empty array passes."""
+    def _check_index(index, size: int, name: str) -> None:
+        """The index rule of every scorer: a user index (`size` n) or an item
+        index (`size` m), an int or an array, outside [0, size) raises
+        IndexError naming it.  An empty array passes."""
         low = high = index
         if not isinstance(index, (int, np.integer)):
             low, high = (np.min(index), np.max(index)) if np.size(index) else (0, -1)
-        if low < 0 or size is not None and high >= size:
-            where = "is negative" if size is None else f"is out of bounds for {size} {name}s"
-            raise IndexError(f"{name} index {low if low < 0 else high} {where}")
+        if low < 0 or high >= size:
+            bad = low if low < 0 else high
+            raise IndexError(f"{name} index {bad} is out of bounds for {size} {name}s")
 
     def pair_scores(self, users, items) -> np.ndarray:
-        """`_pair_scores(users, items)` of indices that keep the index rule."""
+        """`_pair_scores(users, items)` of indices that keep the index rule:
+        `users` is one index, or an array of `items`' shape."""
+        if np.ndim(users) and np.shape(users) != np.shape(items):
+            raise ValueError(f"{np.size(users)} users but {np.size(items)} items")
         self._check_index(users, self.n, "user")
         self._check_index(items, self.m, "item")
         return self._pair_scores(users, items)
@@ -116,8 +119,6 @@ class Scorer:
         i, n, block = operator.index(i), self.n, self._block  # a Python int: no wrap
         if block is None or not 0 <= i - block[0] < len(block[1]):
             self._check_index(i, n, "user")
-            if n is None:
-                return self.score_rows(i, i + 1)[0]
             self._block = block = None  # free to go before the next block is scored
             height = _block_rows(self.m)
             lo = i - i % height
@@ -185,8 +186,6 @@ class FactorModel(Scorer):
         against every item, as with the other scorers."""
         if np.ndim(users) == 0:
             users = np.full(len(items), users)
-        if len(users) != len(items):
-            raise ValueError(f"{len(users)} users but {len(items)} items")
         n_pairs = len(users)
         scores = np.empty(n_pairs, dtype=np.float64)
         rows = max(2, CHUNK_BYTES // (8 * self.k))
@@ -226,7 +225,7 @@ class FactorModel(Scorer):
         - 2g < 2ku + 4k**2 u**2; for k <= 2**20 the 4u spare in D covers the
           second-order terms, the cached norms' rounding and that of top_k's
           comparisons (a rounded sum moves by at most u times its size)."""
-        *_, u_norm, _, _, v_right, fast, _ = self._cached_norms()
+        *_, u_norm, _, v_right, fast, _ = self._cached_norms()
         if not fast[lo:hi].all():
             return self._exact_rows(lo, hi)
         if self.mode == "dot":
@@ -235,33 +234,31 @@ class FactorModel(Scorer):
 
     def _exact_rows(self, lo: int, hi: int) -> np.ndarray:
         """The exact ranking scores of users lo..hi-1: np.matmul runs one
-        V @ U_i per user, over the cached row norms in cosine mode.  Where
-        the smallest norms' product reaches NORM_EPSILON, so does every
-        |U_i| |V_j| (a rounded product is monotone), and the rows skip
-        `cosine`'s floor, which would leave every denominator as it is."""
+        V @ U_i per user, over the cached row norms in cosine mode."""
         dots = np.matmul(self.V, self.U[lo:hi, :, None])[:, :, 0]
         if self.mode == "dot":
             return dots
-        *_, u_norm, v_norm, v_min, _, _, _ = self._cached_norms()
-        u_norm = u_norm[lo:hi, None]
-        if u_norm.min(initial=np.inf) * v_min >= NORM_EPSILON:  # False for NaN
-            return np.divide(dots, u_norm * v_norm, out=dots)
-        return cosine(dots, u_norm, v_norm, out=dots)[0]
+        *_, u_norm, v_norm, _, _, _ = self._cached_norms()
+        out = dots if dots.dtype.kind == "f" else None  # integer factors: float cosines
+        return cosine(dots, u_norm[lo:hi, None], v_norm, out=out)[0]
 
     def _cached_norms(self) -> tuple:
-        """(U, V, mode, U's row norms, V's, the smallest of V's, the right
-        factor of `score_rows`' product, which users it may score so, their
-        bounds D), computed at the first call and again, dropping the kept
-        block, after a new array is assigned to U or V or a new mode to
-        `mode`.  U and V turn read-only."""
+        """(U, V, mode, U's row norms, V's, the right factor of `score_rows`'
+        product, which users it may score so, their bounds D), computed at
+        the first call and again, dropping the kept block, after a new array
+        is assigned to U or V or a new mode to `mode`.  U and V turn
+        read-only.  The bounds hold for float64 arithmetic only, so factors
+        of another type are never scored so."""
         key = self._norms
         if key is None or key[0] is not self.U or key[1] is not self.V or key[2] != self.mode:
             self.U.setflags(write=False)
             self.V.setflags(write=False)
             u_norm, v_norm = (np.sqrt(np.einsum("ij,ij->i", f, f)) for f in (self.U, self.V))
             v_min, v_max = v_norm.min(initial=np.inf), v_norm.max(initial=0.0)
-            fast = ((GEMM_NORMS[0] <= u_norm) & (u_norm <= GEMM_NORMS[1])
-                    & (GEMM_NORMS[0] <= v_min <= v_max <= GEMM_NORMS[1]) & (self.k <= 2**20))
+            fast = np.zeros(len(u_norm), dtype=bool)
+            if (self.U.dtype == self.V.dtype == np.float64 and self.k <= 2**20
+                    and GEMM_NORMS[0] <= v_min <= v_max <= GEMM_NORMS[1]):
+                fast = (GEMM_NORMS[0] <= u_norm) & (u_norm <= GEMM_NORMS[1])
             dot = self.mode == "dot"
             if not dot:
                 fast[fast] = u_norm[fast] * v_min >= NORM_EPSILON
@@ -272,7 +269,7 @@ class FactorModel(Scorer):
                 v_right = np.ascontiguousarray((self.V if dot else self.V / v_norm[:, None]).T)
             bound = np.zeros(len(u_norm))
             bound[fast] = (2 * self.k + 8) * 2.0**-53 * (u_norm[fast] * v_max if dot else 1.0)
-            self._norms = (self.U, self.V, self.mode, u_norm, v_norm, v_min, v_right, fast, bound)
+            self._norms = (self.U, self.V, self.mode, u_norm, v_norm, v_right, fast, bound)
             self._block = None
         return self._norms
 
@@ -379,7 +376,7 @@ def _rank_block(block: np.ndarray, k_top: int, exclude: list[np.ndarray],
     others go to _rank_row."""
     neg = -block
     rows = np.repeat(np.arange(len(exclude)), [len(e) for e in exclude])
-    neg[rows, np.concatenate([np.empty(0, np.intp), *filter(len, exclude)])] = np.inf
+    neg[rows, np.concatenate([np.empty(0, np.uint8), *filter(len, exclude)])] = np.inf
     best = np.sort(np.partition(neg, k_top, axis=1)[:, :k_top + 1], axis=1)  # k_top + 1 best
     kth = best[:, k_top - 1:k_top]
     ahead = best[:, 1:] > best[:, :-1] + (0.0 if gaps is None else gaps[:, None])  # not NaN
@@ -396,19 +393,20 @@ def _rank_block(block: np.ndarray, k_top: int, exclude: list[np.ndarray],
 
 
 def top_k(
-    scorer: object,
-    n_users: int,
+    scorer: Scorer,
     k_top: int,
     exclude: Sequence[np.ndarray] | None = None,
 ) -> TopKLists:
-    """Highest-scoring items per user, ties broken by ascending item index.
+    """Highest-scoring items of each of the scorer's n users, ties broken by
+    ascending item index.
 
-    `scorer` exposes scores_for_user(i), the score of every item for user i,
-    called once per user in user order; its rows are only read, never
+    `scores_for_user(i)`, the score of each of the scorer's m items for user
+    i, is called once per user in user order; its rows are only read, never
     written, so they may be views of a block the scorer keeps (see Scorer).
     `exclude` gives per-user item indices to leave out of the lists
     (typically each user's training items), one entry per user: another
-    length raises ValueError.  NaN scores rank last.
+    length raises ValueError, and an item outside [0, m) IndexError.  NaN
+    scores rank last.
 
     Rows of up to BLOCK_RANK_MAX_M items are copied into blocks of about
     RANK_BLOCK_BYTES and ranked a block at a time, as numpy's per-call cost
@@ -422,30 +420,29 @@ def top_k(
     exact row's, items and order.  Any other row is ranked again from
     `_exact_rows`.  Only the list's scores may differ in the last bits.
     """
+    n, m = scorer.n, scorer.m
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
-    if exclude is not None and len(exclude) != n_users:
-        raise ValueError(f"exclude holds {len(exclude)} entries for {n_users} users")
-    if n_users < 1:
-        return TopKLists(items=[], scores=[])
-    exclude = [np.empty(0, np.intp)] * n_users if exclude is None else exclude
-    first = np.asarray(scorer.scores_for_user(0), dtype=np.float64)
-    m = first.shape[0]
-    rows = itertools.chain([first], map(scorer.scores_for_user, range(1, n_users)))
-    del first  # held by the chain alone, so a served block 0 can go once read
+    if exclude is not None and len(exclude) != n:
+        raise ValueError(f"exclude holds {len(exclude)} entries for {n} users")
+    exclude = [np.empty(0, np.intp)] * n if exclude is None else exclude
+    # An empty uint8 start joins any one integer type, uint64 too, into integers.
+    Scorer._check_index(np.concatenate([np.empty(0, np.uint8), *filter(len, exclude)]), m, "item")
+    rows = map(scorer.scores_for_user, range(n))
     gaps = 2 * scorer._cached_norms()[-1] if isinstance(scorer, FactorModel) else None
 
-    def or_exact(i, ranked):  # a list not certified is ranked from the exact row
-        return ranked or _rank_row(scorer._exact_rows(i, i + 1)[0], k_top, exclude[i])
+    def or_exact(i, ranked):  # a list not certified is ranked from the exact row, in float64
+        return ranked or _rank_row(np.asarray(scorer._exact_rows(i, i + 1)[0], np.float64),
+                                   k_top, exclude[i])
 
     if m <= k_top or m > BLOCK_RANK_MAX_M:
-        gap = [None] * n_users if gaps is None else gaps.tolist()
+        gap = [None] * n if gaps is None else gaps.tolist()
         lists = [or_exact(i, _rank_row(np.asarray(row, np.float64), k_top, exclude[i], gap[i]))
                  for i, row in enumerate(rows)]
     else:
         lists, block = [], np.empty((_block_rows(m), m))
-        for lo in range(0, n_users, len(block)):
-            size = min(len(block), n_users - lo)
+        for lo in range(0, n, len(block)):
+            size = min(len(block), n - lo)
             for r in range(size):
                 block[r] = next(rows)
             ranked = _rank_block(block[:size], k_top, [exclude[i] for i in range(lo, lo + size)],

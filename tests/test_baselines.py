@@ -8,26 +8,26 @@ from conftest import make_dataset
 
 class TestRandomScorer:
     def test_deterministic_per_key(self):
-        scorer = RandomScorer(seed=11, n_items=50, r_max=5.0)
+        scorer = RandomScorer(seed=11, n_items=50, r_max=5.0, n_users=4)
         assert scorer.scores_for_user(3)[7] == scorer.scores_for_user(3)[7]
 
     def test_order_independent(self):
         # Counter-based: interleaving other queries cannot change a value.
-        a = RandomScorer(seed=4, n_items=10, r_max=5.0)
-        b = RandomScorer(seed=4, n_items=10, r_max=5.0)
+        a = RandomScorer(seed=4, n_items=10, r_max=5.0, n_users=10)
+        b = RandomScorer(seed=4, n_items=10, r_max=5.0, n_users=10)
         first = a.scores_for_user(2)[5]
         for i in range(10):
             b.scores_for_user(i)
         assert b.scores_for_user(2)[5] == first
 
     def test_range(self):
-        scorer = RandomScorer(seed=0, n_items=1000, r_max=5.0)
+        scorer = RandomScorer(seed=0, n_items=1000, r_max=5.0, n_users=20)
         rows = np.concatenate([scorer.scores_for_user(i) for i in range(20)])
         assert np.all(rows >= 0.0)
         assert np.all(rows <= 1.0)
 
     def test_empirical_mean(self):
-        scorer = RandomScorer(seed=123, n_items=200, r_max=5.0)
+        scorer = RandomScorer(seed=123, n_items=200, r_max=5.0, n_users=500)
         users = np.repeat(np.arange(500), 200)
         items = np.tile(np.arange(200), 500)
         values = scorer.normalized_scores(users, items)
@@ -35,7 +35,7 @@ class TestRandomScorer:
         assert abs(values.mean() - 0.5) <= 0.01
 
     def test_decile_uniformity(self):
-        scorer = RandomScorer(seed=77, n_items=200, r_max=5.0)
+        scorer = RandomScorer(seed=77, n_items=200, r_max=5.0, n_users=500)
         users = np.repeat(np.arange(500), 200)
         items = np.tile(np.arange(200), 500)
         values = scorer.normalized_scores(users, items)
@@ -46,18 +46,18 @@ class TestRandomScorer:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_row_equals_pair_scores_of_the_full_user_column(self, seed):
         # scores_for_user hands pair_scores one user index to broadcast.
-        scorer = RandomScorer(seed=seed, n_items=37, r_max=5.0)
+        scorer = RandomScorer(seed=seed, n_items=37, r_max=5.0, n_users=2**40 + 1)
         for i in (0, 1, 5, 36, 2**40):
             want = scorer.pair_scores(np.full(37, i), np.arange(37))
             assert np.array_equal(scorer.scores_for_user(i), want)
 
     def test_seeds_decorrelate(self):
-        a = RandomScorer(seed=1, n_items=100, r_max=5.0).scores_for_user(0)
-        b = RandomScorer(seed=2, n_items=100, r_max=5.0).scores_for_user(0)
+        a = RandomScorer(seed=1, n_items=100, r_max=5.0, n_users=1).scores_for_user(0)
+        b = RandomScorer(seed=2, n_items=100, r_max=5.0, n_users=1).scores_for_user(0)
         assert not np.array_equal(a, b)
 
     def test_rating_scaling(self):
-        scorer = RandomScorer(seed=5, n_items=10, r_max=4.0)
+        scorer = RandomScorer(seed=5, n_items=10, r_max=4.0, n_users=1)
         users = np.zeros(10, dtype=int)
         items = np.arange(10)
         np.testing.assert_allclose(
@@ -67,13 +67,13 @@ class TestRandomScorer:
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
-            RandomScorer(seed=-1, n_items=5, r_max=5.0)
+            RandomScorer(seed=-1, n_items=5, r_max=5.0, n_users=1)
 
     def test_seed_range_is_64_bits(self):
-        top = RandomScorer(seed=2**64 - 1, n_items=5, r_max=5.0).scores_for_user(0)
+        top = RandomScorer(seed=2**64 - 1, n_items=5, r_max=5.0, n_users=1).scores_for_user(0)
         assert np.all((top >= 0.0) & (top < 1.0))
         with pytest.raises(ValueError):
-            RandomScorer(seed=2**64, n_items=5, r_max=5.0)
+            RandomScorer(seed=2**64, n_items=5, r_max=5.0, n_users=1)
 
     @pytest.mark.parametrize("users, items, message", [
         (-1, 2, "user index -1 is out of bounds for 3 users"),
@@ -92,12 +92,10 @@ class TestRandomScorer:
         with pytest.raises(IndexError, match=message):
             RandomScorer(1, 4, 5.0, n_users=3).pair_scores(users, items)
 
-    def test_users_unchecked_without_a_user_count(self):
-        assert 0.0 <= RandomScorer(1, 4, 5.0).pair_scores(7, 1) < 1.0
-
-    def test_negative_user_row_raises_index_error(self):
-        with pytest.raises(IndexError, match="user index -1 is negative"):
-            RandomScorer(1, 4, 5.0).scores_for_user(-1)
+    @pytest.mark.parametrize("user", [-1, 3])
+    def test_row_of_a_user_out_of_range_raises_index_error(self, user):
+        with pytest.raises(IndexError, match=f"user index {user} is out of bounds for 3 users"):
+            RandomScorer(1, 4, 5.0, n_users=3).scores_for_user(user)
 
 
 def zipf_from_counts(counts):
@@ -131,7 +129,7 @@ class TestPopularityRanks:
 
 class TestZipfScorer:
     def test_scores_follow_rank(self):
-        scorer = ZipfScorer(popularity_rank=np.array([1, 2, 3]), r_max=5.0)
+        scorer = ZipfScorer(popularity_rank=np.array([1, 2, 3]), r_max=5.0, n_users=10)
         assert scorer.scores_for_user(0)[0] == 1.0
         assert scorer.scores_for_user(0)[1] == 0.5
         assert scorer.scores_for_user(9)[2] == pytest.approx(1.0 / 3.0)
@@ -147,15 +145,26 @@ class TestZipfScorer:
         )
 
     def test_row_equals_pair_scores_of_the_full_user_column(self):
-        scorer = ZipfScorer(np.array([3, 1, 4, 2, 5]), r_max=5.0)
+        scorer = ZipfScorer(np.array([3, 1, 4, 2, 5]), r_max=5.0, n_users=2**40 + 1)
         for i in (0, 1, 4, 2**40):
             row = scorer.scores_for_user(i)
             assert np.array_equal(row, scorer.pair_scores(np.full(5, i), np.arange(5)))
             with pytest.raises(ValueError):
                 row[0] = 1.0
 
+    def test_from_dataset_takes_the_user_count(self):
+        ds = make_dataset([0, 1, 2], [0, 1, 1], np.full(3, 5.0), n=4, m=2)
+        scorer = ZipfScorer.from_dataset(ds)
+        assert (scorer.n, scorer.m) == (4, 2)
+        with pytest.raises(IndexError, match="user index 4 is out of bounds for 4 users"):
+            scorer.scores_for_user(4)
+        with pytest.raises(IndexError, match="user index 10000000000 is out of bounds"):
+            scorer.scores_for_user(10**10)
+        with pytest.raises(TypeError):  # as every scorer's scores_for_user
+            scorer.scores_for_user(1.5)
+
     def test_user_independent(self):
-        scorer = ZipfScorer(popularity_rank=np.array([2, 1, 3, 4]), r_max=5.0)
+        scorer = ZipfScorer(popularity_rank=np.array([2, 1, 3, 4]), r_max=5.0, n_users=100)
         assert np.array_equal(scorer.scores_for_user(0), scorer.scores_for_user(99))
 
     def test_score_multiset(self):
@@ -166,7 +175,7 @@ class TestZipfScorer:
         assert got == want
 
     def test_predicted_rating_scaling(self):
-        scorer = ZipfScorer(popularity_rank=np.array([1, 2]), r_max=4.0)
+        scorer = ZipfScorer(popularity_rank=np.array([1, 2]), r_max=4.0, n_users=1)
         np.testing.assert_allclose(
             scorer.predicted_ratings(np.array([0, 0]), np.array([0, 1])), [4.0, 2.0]
         )

@@ -575,7 +575,7 @@ def test_report_rows_cell_by_cell(ratings_file, tmp_path):
         header, row = csv.reader(fh)
     train_set, test_set = split(load_movielens(ratings_file), SplitSpec(0.2, seed=7))
     model = load_model(model_path)
-    lists = top_k(model, train_set.n, 5, exclude=train_set.items_by_user())
+    lists = top_k(model, 5, exclude=train_set.items_by_user())
     assert header == REPORT_COLUMNS
     assert row == ["mine", "0", "4", "0", "7", "5",
                    format_value(mae(model, test_set)),

@@ -22,13 +22,13 @@ from conftest import make_dataset
 class ConstantScorer:
     """Emits one fixed normalized score everywhere (rating = score * r_max)."""
 
-    def __init__(self, value, r_max=5.0, n_items=5):
+    def __init__(self, value, r_max=5.0, n_users=1, n_items=5):
         self.value = float(value)
         self.r_max = float(r_max)
-        self.n_items = int(n_items)
+        self.n, self.m = int(n_users), int(n_items)
 
     def scores_for_user(self, i):
-        return np.full(self.n_items, self.value)
+        return np.full(self.m, self.value)
 
     def predicted_ratings(self, users, items):
         return np.full(len(np.asarray(users)), self.value * self.r_max)
@@ -43,6 +43,7 @@ class TableScorer:
     def __init__(self, table, r_max=5.0):
         self.table = np.asarray(table, dtype=float)
         self.r_max = float(r_max)
+        self.n, self.m = self.table.shape
 
     def scores_for_user(self, i):
         return self.table[i]
@@ -183,7 +184,8 @@ class TestMatthewDegree:
 class TestEvaluateAll:
     def test_uniform_scorer_composition(self, toy_dataset):
         report = evaluate_all(
-            ConstantScorer(1.0 / toy_dataset.m, r_max=5.0, n_items=toy_dataset.m),
+            ConstantScorer(1.0 / toy_dataset.m, r_max=5.0, n_users=toy_dataset.n,
+                           n_items=toy_dataset.m),
             toy_dataset,
             toy_dataset,
             k_top=2,
@@ -207,7 +209,7 @@ class TestEvaluateAll:
     def test_zipf_composition_matches_constituents(self, toy_dataset):
         scorer = ZipfScorer.from_dataset(toy_dataset)
         report = evaluate_all(scorer, toy_dataset, toy_dataset, k_top=2, algorithm="zipf")
-        lists = top_k(scorer, toy_dataset.n, 2, exclude=toy_dataset.items_by_user())
+        lists = top_k(scorer, 2, exclude=toy_dataset.items_by_user())
         assert report.mae == pytest.approx(mae(scorer, toy_dataset))
         assert report.position_bias == pytest.approx(
             position_bias_metric(scorer, toy_dataset, toy_dataset.m)
@@ -215,9 +217,15 @@ class TestEvaluateAll:
         assert report.matthew_degree == pytest.approx(matthew_degree(lists))
         assert report.algorithm == "zipf"
 
+    def test_scorer_of_another_user_count_is_rejected(self, toy_dataset):
+        # The lists rank the scorer's own users, one exclusion list each.
+        scorer = ZipfScorer(np.arange(1, toy_dataset.m + 1), 5.0, n_users=toy_dataset.n + 1)
+        with pytest.raises(ValueError, match="exclude holds 4 entries for 5 users"):
+            evaluate_all(scorer, toy_dataset, toy_dataset, k_top=2, algorithm="zipf")
+
     def test_excludes_training_items_from_lists(self, toy_dataset):
         scorer = ZipfScorer.from_dataset(toy_dataset)
-        lists = top_k(scorer, toy_dataset.n, 3, exclude=toy_dataset.items_by_user())
+        lists = top_k(scorer, 3, exclude=toy_dataset.items_by_user())
         for user, rated in enumerate(toy_dataset.items_by_user()):
             assert not set(lists.items[user]) & set(rated.tolist())
 

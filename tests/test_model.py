@@ -203,8 +203,8 @@ def _rating_map_scorer(name):
     return {
         "dot": FactorModel(U=U, V=V, mode="dot", r_max=1.7),
         "cosine": FactorModel(U=U, V=V, mode="cosine", r_max=4.3),
-        "random": RandomScorer(seed=5, n_items=13, r_max=4.3),
-        "zipf": ZipfScorer(popularity_rank=rng.permutation(13) + 1, r_max=4.3),
+        "random": RandomScorer(seed=5, n_items=13, r_max=4.3, n_users=9),
+        "zipf": ZipfScorer(popularity_rank=rng.permutation(13) + 1, r_max=4.3, n_users=9),
     }[name]
 
 
@@ -230,6 +230,7 @@ class TestRatingMap:
 class _StubScorer:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=float)
+        self.n, self.m = self.rows.shape
 
     def scores_for_user(self, i):
         return self.rows[i]
@@ -249,18 +250,18 @@ class _SpyScorer(_StubScorer):
 
 class TestTopK:
     def test_basic(self):
-        lists = top_k(_StubScorer([[0.9, 0.1, 0.5]]), n_users=1, k_top=2)
+        lists = top_k(_StubScorer([[0.9, 0.1, 0.5]]), k_top=2)
         assert lists.items[0].tolist() == [0, 2]
         assert lists.scores[0].tolist() == [0.9, 0.5]
 
     def test_tie_break_ascending_index(self):
-        lists = top_k(_StubScorer([[0.5, 0.5, 0.5]]), n_users=1, k_top=2)
+        lists = top_k(_StubScorer([[0.5, 0.5, 0.5]]), k_top=2)
         assert lists.items[0].tolist() == [0, 1]
 
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(12)
         rows = rng.random((3, 4))
-        lists = top_k(_StubScorer(rows), n_users=3, k_top=2)
+        lists = top_k(_StubScorer(rows), k_top=2)
         for i in range(3):
             oracle = sorted(range(4), key=lambda j: (-rows[i, j], j))[:2]
             assert lists.items[i].tolist() == oracle
@@ -268,14 +269,14 @@ class TestTopK:
     def test_excludes_training_items(self):
         rows = [[0.9, 0.8, 0.7, 0.1]]
         exclude = [np.array([0, 2])]
-        lists = top_k(_StubScorer(rows), n_users=1, k_top=3, exclude=exclude)
+        lists = top_k(_StubScorer(rows), k_top=3, exclude=exclude)
         assert lists.items[0].tolist() == [1, 3]
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
         rows = rng.random((4, 6))
-        base = top_k(_StubScorer(rows), n_users=4, k_top=3)
-        warped = top_k(_StubScorer(np.exp(3.0 * rows)), n_users=4, k_top=3)
+        base = top_k(_StubScorer(rows), k_top=3)
+        warped = top_k(_StubScorer(np.exp(3.0 * rows)), k_top=3)
         for a, b in zip(base.items, warped.items):
             assert a.tolist() == b.tolist()
 
@@ -285,7 +286,7 @@ class TestTopK:
         rng = np.random.default_rng(14)
         n, m, k_top = 20, 50, 3
         exclude = [rng.choice(m, 5, replace=False) for _ in range(n)]
-        lists = top_k(_StubScorer(rng.random((n, m))), n_users=n, k_top=k_top,
+        lists = top_k(_StubScorer(rng.random((n, m))), k_top=k_top,
                       exclude=exclude)
         for arrays in (lists.items, lists.scores):
             bases = {id(a.base if a.base is not None else a):
@@ -299,7 +300,7 @@ class TestTopK:
         stub = _StubScorer(rows)
         assert stub.rows is rows  # each row handed out is a read-only view
         exclude = [np.array([0, 8]), np.array([], dtype=np.int64), np.arange(9), np.array([3])]
-        lists = top_k(stub, n_users=4, k_top=3, exclude=exclude)
+        lists = top_k(stub, k_top=3, exclude=exclude)
         for i in range(4):
             order = np.argsort(-rows[i], kind="stable")
             want = order[~np.isin(order, exclude[i])][:3]
@@ -307,29 +308,62 @@ class TestTopK:
 
     def test_exclusions_may_be_lists(self):
         rows = np.tile(np.arange(6.0), (3, 1))
-        lists = top_k(_StubScorer(rows), n_users=3, k_top=2, exclude=[[], [5, 4], []])
+        lists = top_k(_StubScorer(rows), k_top=2, exclude=[[], [5, 4], []])
         assert [items.tolist() for items in lists.items] == [[5, 4], [3, 2], [5, 4]]
 
     def test_rejects_bad_k_top(self):
         with pytest.raises(ValueError):
-            top_k(_StubScorer([[1.0]]), n_users=1, k_top=0)
+            top_k(_StubScorer([[1.0]]), k_top=0)
 
     @pytest.mark.parametrize("m", [12, model_module.BLOCK_RANK_MAX_M + 1])
     def test_scores_each_user_once_in_order(self, monkeypatch, m):
         # Blocks of 2 rows at m = 12; wider rows go one at a time.
         monkeypatch.setattr(model_module, "RANK_BLOCK_BYTES", 2 * 8 * 12)
         spy = _SpyScorer(np.random.default_rng(18).random((7, m)))
-        top_k(spy, n_users=7, k_top=3)
+        top_k(spy, k_top=3)
         assert spy.calls == list(range(7))
 
     @pytest.mark.parametrize("m", [12, model_module.BLOCK_RANK_MAX_M + 1])
     @pytest.mark.parametrize("length", [2, 4])
     def test_exclude_of_another_length_is_rejected(self, m, length):
         with pytest.raises(ValueError, match=f"exclude holds {length} entries for 3 users"):
-            top_k(_StubScorer(np.zeros((3, m))), n_users=3, k_top=2, exclude=[[]] * length)
+            top_k(_StubScorer(np.zeros((3, m))), k_top=2, exclude=[[]] * length)
+
+    @pytest.mark.parametrize("m", [7, model_module.BLOCK_RANK_MAX_M + 1])
+    def test_ranks_every_user_of_the_scorer(self, m):
+        # The user count is the scorer's own, and the pass over its users
+        # ends at the last one, which releases the served block.
+        model = init_model(5, m, 3, seed=0)
+        lists = top_k(model, 3, exclude=[[]] * 5)
+        assert len(lists) == 5 and model._block is None
+        assert [items.tolist() for items in lists.items] == [
+            np.argsort(-model.scores_for_user(i), kind="stable")[:3].tolist() for i in range(5)]
+
+    @pytest.mark.parametrize("mode", ["cosine", "dot"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_factors_of_another_type_rank_from_their_exact_rows(self, mode, dtype):
+        # Only float64 factors are scored by one product per block: these
+        # lists, scores too, are those of the exact rows, and an integer
+        # model's cosines are floats.
+        rng = np.random.default_rng(23)
+        U, V = rng.integers(-9, 10, (30, 4)), rng.integers(-9, 10, (50, 4))
+        model = FactorModel(U=U.astype(dtype), V=V.astype(dtype), mode=mode)
+        lists = top_k(model, 5)
+        want = top_k(_StubScorer(model._exact_rows(0, 30)), 5)
+        assert [a.tobytes() for a in lists.items + lists.scores] == [
+            a.tobytes() for a in want.items + want.scores]
+
+    @pytest.mark.parametrize("m", [7, model_module.BLOCK_RANK_MAX_M + 1])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_exclusion_outside_the_items_raises_index_error(self, m, last):
+        # Neither counted from the end (-1 would drop item m - 1) nor left
+        # to numpy's own message.
+        item = m if last else -1
+        with pytest.raises(IndexError, match=f"item index {item} is out of bounds for {m} items"):
+            top_k(_StubScorer(np.zeros((3, m))), 2, exclude=[[2], [], [1, item]])
 
     @pytest.mark.parametrize("m", [40, model_module.BLOCK_RANK_MAX_M + 1])
-    @pytest.mark.parametrize("kind", ["cosine", "random", "random_alone", "zipf"])
+    @pytest.mark.parametrize("kind", ["cosine", "random", "zipf"])
     def test_lists_do_not_depend_on_the_block_size(self, monkeypatch, m, kind):
         # 23 users: blocks of 1 and 3 rows, and one block of every user at the
         # default.  A model's one product per block may round a score in
@@ -343,9 +377,8 @@ class TestTopK:
         def lists():
             scorer = {"cosine": lambda: FactorModel(U=U, V=V),
                       "random": lambda: RandomScorer(seed=3, n_items=m, r_max=5.0, n_users=n),
-                      "random_alone": lambda: RandomScorer(seed=3, n_items=m, r_max=5.0),
-                      "zipf": lambda: ZipfScorer(popularity_rank=ranks, r_max=5.0)}[kind]()
-            got = top_k(scorer, n_users=n, k_top=10, exclude=exclude)
+                      "zipf": lambda: ZipfScorer(ranks, r_max=5.0, n_users=n)}[kind]()
+            got = top_k(scorer, k_top=10, exclude=exclude)
             if kind == "cosine":
                 for i, (items, scores) in enumerate(zip(got.items, got.scores)):
                     assert_within_bound(scores, scorer, i, items)
@@ -359,15 +392,12 @@ class TestTopK:
 
     @pytest.mark.parametrize("m", [12, model_module.BLOCK_RANK_MAX_M + 1])
     @pytest.mark.parametrize("block_rows", [2, None])
-    @pytest.mark.parametrize("user_count", [False, True])
-    def test_custom_scorer_over_per_user_rows(self, monkeypatch, m, block_rows, user_count):
-        # _pair_scores, r_max and m alone, as the README's custom scorer; with
-        # a user count n it is served blocks that stop at the last user.
+    def test_custom_scorer_over_per_user_rows(self, monkeypatch, m, block_rows):
+        # _pair_scores, r_max, n and m alone, as the README's custom scorer:
+        # it is served blocks that stop at the last user.
         class ArrayScorer(Scorer):
             def __init__(self, rows):
-                self.rows, self.m, self.r_max = rows, rows.shape[1], 5.0
-                if user_count:
-                    self.n = len(rows)
+                (self.n, self.m), self.rows, self.r_max = rows.shape, rows, 5.0
 
             def _pair_scores(self, users, items):
                 return self.rows[users, items]
@@ -377,14 +407,14 @@ class TestTopK:
         rng = np.random.default_rng(21)
         scorer = ArrayScorer(rng.random((5, m)))
         for _ in range(2):  # new rows between two passes are ranked, not stale ones
-            lists = top_k(scorer, n_users=5, k_top=3)
+            lists = top_k(scorer, k_top=3)
             for i, row in enumerate(scorer.rows):
                 assert lists.items[i].tolist() == np.argsort(-row, kind="stable")[:3].tolist()
             scorer.rows = rng.random((5, m))
 
     def test_no_users_scores_nobody(self):
         spy = _SpyScorer(np.zeros((0, 4)))
-        assert len(top_k(spy, n_users=0, k_top=2)) == 0
+        assert len(top_k(spy, k_top=2)) == 0
         assert spy.calls == []
 
     def test_wide_rows_ranked_one_at_a_time(self, monkeypatch):
@@ -398,7 +428,7 @@ class TestTopK:
         rows[1, :5] = np.nan
         rows[2, 7] = np.inf
         exclude = [rng.choice(m, size, replace=False) for size in (0, 3, 10, m - 2, m, 40)]
-        lists = top_k(_StubScorer(rows), n_users=n, k_top=5, exclude=exclude)
+        lists = top_k(_StubScorer(rows), k_top=5, exclude=exclude)
         for i in range(n):
             order = np.argsort(-rows[i], kind="stable")
             want = order[~np.isin(order, exclude[i])][:5]
@@ -428,14 +458,14 @@ class TestItemNormCache:
 
     def test_repeated_top_k_is_identical(self):
         model = _cosine_model_with_zero_rows()
-        first = top_k(model, n_users=5, k_top=3)
-        second = top_k(model, n_users=5, k_top=3)
+        first = top_k(model, k_top=3)
+        second = top_k(model, k_top=3)
         for a, b in zip(first.items + first.scores, second.items + second.scores):
             assert np.array_equal(a, b)
 
     def test_ranked_cosine_model_rejects_in_place_writes(self):
         model = _cosine_model_with_zero_rows()
-        top_k(model, n_users=5, k_top=3)
+        top_k(model, k_top=3)
         with pytest.raises(ValueError):
             model.V[0, 0] = 1.0
 
@@ -621,7 +651,7 @@ class TestPersistence:
         save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
         edge = load_model(path)  # at the bound: every score is finite, without a warning
         assert np.isfinite(edge.pair_scores(np.arange(30).repeat(20), np.tile(np.arange(20), 30))).all()
-        top_k(edge, 30, 5)
+        top_k(edge, 5)
         V[19, 3] = sign * np.nextafter(2.0**400, np.inf)
         save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
         with pytest.raises(ValueError, match=r"model\.pbmf: factor matrices hold values of "
