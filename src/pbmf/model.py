@@ -368,15 +368,16 @@ def _rank_row(row: np.ndarray, k_top: int, exclude: np.ndarray,
 
 
 def _rank_block(block: np.ndarray, k_top: int, exclude: list[np.ndarray],
+                excluded: tuple[np.ndarray, np.ndarray],
                 gaps: np.ndarray | None) -> list[tuple | None]:
     """The lists of a (B, m) block of rows, m > k_top, from one partition of
     the block: a row takes its k_top best candidates there if the k-th is
     finite and leads the (k+1)-th, and given `gaps` (see top_k) only if each
     of its k_top + 1 best leads the next by more than the row's gap.  The
-    others go to _rank_row."""
+    others go to _rank_row.  `excluded` holds the block's exclusions as the
+    (rows, items) index arrays of its cells."""
     neg = -block
-    rows = np.repeat(np.arange(len(exclude)), [len(e) for e in exclude])
-    neg[rows, np.concatenate([np.empty(0, np.uint8), *filter(len, exclude)])] = np.inf
+    neg[excluded] = np.inf
     best = np.sort(np.partition(neg, k_top, axis=1)[:, :k_top + 1], axis=1)  # k_top + 1 best
     kth = best[:, k_top - 1:k_top]
     ahead = best[:, 1:] > best[:, :-1] + (0.0 if gaps is None else gaps[:, None])  # not NaN
@@ -390,6 +391,22 @@ def _rank_block(block: np.ndarray, k_top: int, exclude: list[np.ndarray],
     lists = zip(flat % block.shape[1], block.ravel()[flat])  # the regular rows' lists, in order
     return [next(lists) if ok else _rank_row(row, k_top, skip, None if gaps is None else gaps[r])
             for r, (ok, row, skip) in enumerate(zip(regular.tolist(), block, exclude))]
+
+
+def _joined_exclusions(exclude: list, m: int) -> np.ndarray:
+    """The nonempty exclusions of a top_k call in one integer array, checked
+    by the index rule.  An empty uint8 start joins any one integer type,
+    uint64 too, into integers.  numpy joins integers of both signednesses
+    into float64: such a call's arrays are checked one at a time and joined
+    as intp, which holds every index in [0, m)."""
+    start = np.empty(0, np.uint8)
+    joined = np.concatenate([start, *exclude])
+    if joined.dtype.kind == "f" and all(np.asarray(e).dtype.kind in "iu" for e in exclude):
+        for e in exclude:
+            Scorer._check_index(e, m, "item")
+        return np.concatenate([start, *exclude], dtype=np.intp, casting="unsafe")
+    Scorer._check_index(joined, m, "item")
+    return joined
 
 
 def top_k(
@@ -426,8 +443,8 @@ def top_k(
     if exclude is not None and len(exclude) != n:
         raise ValueError(f"exclude holds {len(exclude)} entries for {n} users")
     exclude = [np.empty(0, np.intp)] * n if exclude is None else exclude
-    # An empty uint8 start joins any one integer type, uint64 too, into integers.
-    Scorer._check_index(np.concatenate([np.empty(0, np.uint8), *filter(len, exclude)]), m, "item")
+    counts = [len(e) for e in exclude]
+    joined = _joined_exclusions([e for e, count in zip(exclude, counts) if count], m)
     rows = map(scorer.scores_for_user, range(n))
     gaps = 2 * scorer._cached_norms()[-1] if isinstance(scorer, FactorModel) else None
 
@@ -441,14 +458,35 @@ def top_k(
                  for i, row in enumerate(rows)]
     else:
         lists, block = [], np.empty((_block_rows(m), m))
+        bounds = np.cumsum([0, *counts]).tolist()  # user i's are joined[bounds[i]:bounds[i + 1]]
         for lo in range(0, n, len(block)):
             size = min(len(block), n - lo)
             for r in range(size):
                 block[r] = next(rows)
-            ranked = _rank_block(block[:size], k_top, [exclude[i] for i in range(lo, lo + size)],
+            excluded = (np.repeat(np.arange(size), counts[lo:lo + size]),
+                        joined[bounds[lo]:bounds[lo + size]])
+            ranked = _rank_block(block[:size], k_top, exclude[lo:lo + size], excluded,
                                  None if gaps is None else gaps[lo:lo + size])
             lists += [or_exact(lo + r, ranked_r) for r, ranked_r in enumerate(ranked)]
     return TopKLists(items=[top for top, _ in lists], scores=[scores for _, scores in lists])
+
+
+def _check_contents(path, n: int, m: int, k: int, r_max: float, *factors: np.ndarray) -> None:
+    """What a model file may hold, checked by `save_model` before it opens
+    the file and by `load_model` after it reads one: dimensions of at least
+    1, an `r_max` that is a finite positive number, and finite factors, given as
+    float64 arrays, of magnitude at most 2**400 (the top of
+    `GEMM_NORMS`).  Under that bound no dot product, norm or product of norms
+    of rows of up to 2**200 entries overflows.  Raises ValueError naming
+    `path`."""
+    if n < 1 or m < 1 or k < 1:
+        raise ValueError(f"{path}: impossible dimensions ({n}, {m}, {k})")
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"{path}: r_max must be finite and > 0, got {r_max}")
+    if not all(np.isfinite(f).all() for f in factors):
+        raise ValueError(f"{path}: factor matrices hold non-finite values")
+    if any(max(f.max(), -f.min()) > GEMM_NORMS[1] for f in factors):
+        raise ValueError(f"{path}: factor matrices hold values of magnitude above 2**400")
 
 
 def save_model(model: FactorModel, path: str | Path) -> None:
@@ -456,32 +494,28 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
     Layout: magic `PBMF`, version byte, n/m/k as u64, mode byte
     (0 = dot, 1 = cosine), r_max as f64, then U row-major and V row-major
-    as f64.  Round-trips bit-exactly.
+    as f64.  Round-trips bit-exactly.  A model that :func:`load_model` would
+    refuse raises ValueError before the file is opened, so no file is
+    written.
     """
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        model.n,
-        model.m,
-        model.k,
-        _MODE_CODES[model.mode],
-        float(model.r_max),
-    )
+    r_max = float(model.r_max)
+    U, V = (np.ascontiguousarray(f, dtype="<f8") for f in (model.U, model.V))
+    _check_contents(path, model.n, model.m, model.k, r_max, U, V)
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, model.n, model.m, model.k,
+                          _MODE_CODES[model.mode], r_max)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(model.U, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.V, dtype="<f8").tobytes())
+        fh.write(U)
+        fh.write(V)
 
 
 def load_model(path: str | Path) -> FactorModel:
     """Read a model written by :func:`save_model`.
 
     Raises :class:`ValueError` naming the file for a file of another kind
-    or version and for an inconsistent payload, including non-finite
-    factors, a factor entry of magnitude above 2**400 (the top of
-    `GEMM_NORMS`) and an `r_max` that is not a finite positive number.  Under
-    that bound no dot product, norm or product of norms of rows of up to
-    2**200 entries overflows.  A `FactorModel` built by hand is not checked.
+    or version, for a payload of another length than the header's
+    dimensions give, and for contents that `save_model` refuses to write
+    (see `_check_contents`).  A `FactorModel` built by hand is not checked.
     """
     blob = Path(path).read_bytes()
     if len(blob) >= len(MAGIC) and blob[: len(MAGIC)] != MAGIC:
@@ -493,10 +527,6 @@ def load_model(path: str | Path) -> FactorModel:
         raise ValueError(f"{path}: unsupported format version {version}")
     if mode_code not in _MODE_NAMES:
         raise ValueError(f"{path}: unknown prediction mode code {mode_code}")
-    if n < 1 or m < 1 or k < 1:
-        raise ValueError(f"{path}: impossible dimensions ({n}, {m}, {k})")
-    if not (math.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"{path}: r_max must be finite and > 0, got {r_max}")
     expected = _HEADER.size + (n * k + m * k) * 8
     if len(blob) != expected:
         raise ValueError(
@@ -504,10 +534,7 @@ def load_model(path: str | Path) -> FactorModel:
             f"(expected {expected} bytes, found {len(blob)})"
         )
     flat = np.frombuffer(blob, dtype="<f8", count=n * k + m * k, offset=_HEADER.size)
-    if not np.isfinite(flat).all():
-        raise ValueError(f"{path}: factor matrices hold non-finite values")
-    if max(flat.max(), -flat.min()) > GEMM_NORMS[1]:
-        raise ValueError(f"{path}: factor matrices hold values of magnitude above 2**400")
+    _check_contents(path, n, m, k, r_max, flat)
     U = flat[: n * k].reshape(n, k).astype(np.float64)
     V = flat[n * k :].reshape(m, k).astype(np.float64)
     return FactorModel(U=U, V=V, mode=_MODE_NAMES[mode_code], r_max=r_max)

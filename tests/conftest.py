@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,15 @@ def make_dataset(users, items, ratings, n=None, m=None) -> RatingsDataset:
         user_map={str(i): i for i in range(n)},
         item_map={str(j): j for j in range(m)},
     )
+
+
+def write_model_file(model, path) -> None:
+    """The bytes `save_model` writes for `model`, written without its check,
+    so a test can hand `load_model` a file that `save_model` refuses."""
+    U, V = (np.ascontiguousarray(f, dtype="<f8") for f in (model.U, model.V))
+    header = struct.pack("<4sBQQQBd", b"PBMF", 1, len(U), len(V), U.shape[1],
+                         {"dot": 0, "cosine": 1}[model.mode], float(model.r_max))
+    Path(path).write_bytes(header + U.tobytes() + V.tobytes())
 
 
 def exact_row(model, i) -> np.ndarray:

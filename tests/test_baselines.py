@@ -120,6 +120,19 @@ class TestPopularityRanks:
         ranks = popularity_ranks(counts)
         assert sorted(ranks.tolist()) == list(range(1, 31))
 
+    @pytest.mark.parametrize("profile", ["flat", "zipf"])
+    def test_ties_rank_by_ascending_index(self, profile):
+        # 500 items in long runs of tied counts: 6 distinct counts, or 85 of
+        # a shuffled Zipf profile (the benchmark's file has 149 over 500
+        # items).  The default, unstable argsort kind orders such runs
+        # otherwise, and differently at each SIMD level.
+        rng = np.random.default_rng(4)
+        counts = (rng.integers(0, 6, 500) if profile == "flat"
+                  else rng.permutation((2000 / np.arange(1, 501)).astype(int)))
+        want = np.empty(500, dtype=int)
+        want[sorted(range(500), key=lambda j: (-counts[j], j))] = np.arange(1, 501)
+        assert popularity_ranks(counts).tolist() == want.tolist()
+
     def test_more_rated_gets_smaller_rank(self):
         counts = np.array([2, 9, 9, 0, 5])
         ranks = popularity_ranks(counts)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR, write_model_file
 from pbmf.cli import build_parser, main
 from pbmf.data import SplitSpec, load_movielens, split
 from pbmf.metrics import (REPORT_COLUMNS, evaluate_all, format_value, mae, matthew_degree,
@@ -199,7 +200,7 @@ class TestEvaluateCommand:
         else:
             model.r_max = 0.0
         model_path = tmp_path / "model.pbmf"
-        save_model(model, model_path)
+        write_model_file(model, model_path)  # save_model refuses it
         out = tmp_path / "report.csv"
         result = run_pbmf(["evaluate", "--input", str(ratings_file),
                            "--model", str(model_path), "--output", str(out)])
@@ -845,13 +846,26 @@ def test_evaluate_rejects_huge_finite_factors(tmp_path):
                                                  integer_ratings=True), ratings)
     rng = np.random.default_rng(0)
     path = tmp_path / "huge.pbmf"
-    save_model(FactorModel(U=rng.random((30, 4)) * 1e160, V=rng.random((20, 4)) * 1e160,
-                           r_max=5.0), path)
+    write_model_file(FactorModel(U=rng.random((30, 4)) * 1e160, V=rng.random((20, 4)) * 1e160,
+                                 r_max=5.0), path)
     child = run_pbmf(["evaluate", "--input", str(ratings), "--model", str(path)])
     assert child.returncode == 1
     assert child.stdout == ""
     assert child.stderr.splitlines() == [
         f"error: {path}: factor matrices hold values of magnitude above 2**400"]
+
+
+def test_train_writes_no_model_that_evaluate_refuses(tmp_path):
+    """Factors started at 1e130 end above 2**400: `train` refuses to save them,
+    in one error line and exit 1, and leaves neither the model nor its history."""
+    model = tmp_path / "model.pbmf"
+    child = run_pbmf(["train", "--input", str(DATA_DIR / "ml1m_sample.dat"), "--algorithm",
+                      "cosine_mf", "--init-scale", "1e130", "--output", str(model)])
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.splitlines() == [
+        f"error: {model}: factor matrices hold values of magnitude above 2**400"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stdout_matches_output_file(ratings_file, tmp_path, capsys):

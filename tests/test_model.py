@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import assert_within_bound
+from conftest import assert_within_bound, write_model_file
 from pbmf import model as model_module
 from pbmf.baselines import RandomScorer, ZipfScorer
 from pbmf.model import (
@@ -601,6 +601,8 @@ class TestPersistence:
         assert loaded.mode == model.mode
         assert loaded.r_max == model.r_max
         assert (loaded.n, loaded.m, loaded.k) == (model.n, model.m, model.k)
+        write_model_file(model, tmp_path / "unchecked.pbmf")  # the tests' writer: same bytes
+        assert (tmp_path / "unchecked.pbmf").read_bytes() == path.read_bytes()
 
     def test_round_trip_dot_mode(self, tmp_path):
         model = init_model(2, 2, 2, seed=1, mode="dot", r_max=5.0)
@@ -635,9 +637,12 @@ class TestPersistence:
         else:
             model.r_max = 0.0 if spoil == "zero_r_max" else np.nan
         path = tmp_path / "model.pbmf"
-        save_model(model, path)
         message = ("r_max must be finite and > 0" if spoil.endswith("r_max")
                    else "factor matrices hold non-finite values")
+        with pytest.raises(ValueError, match=message):
+            save_model(model, path)
+        assert not path.exists()  # refused before the file is opened
+        write_model_file(model, path)
         with pytest.raises(ValueError, match=message):
             load_model(path)
 
@@ -649,20 +654,29 @@ class TestPersistence:
         path = tmp_path / "model.pbmf"
         U[0] = V[0] = sign * 2.0**400
         save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
+        edge_bytes = path.read_bytes()
         edge = load_model(path)  # at the bound: every score is finite, without a warning
         assert np.isfinite(edge.pair_scores(np.arange(30).repeat(20), np.tile(np.arange(20), 30))).all()
         top_k(edge, 5)
+        save_model(edge, path)  # an entry of exactly 2**400 round-trips
+        assert path.read_bytes() == edge_bytes
         V[19, 3] = sign * np.nextafter(2.0**400, np.inf)
-        save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
-        with pytest.raises(ValueError, match=r"model\.pbmf: factor matrices hold values of "
-                                             r"magnitude above 2\*\*400$"):
+        message = r"model\.pbmf: factor matrices hold values of magnitude above 2\*\*400$"
+        path.unlink()
+        with pytest.raises(ValueError, match=message):
+            save_model(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
+        assert not path.exists()
+        write_model_file(FactorModel(U=U, V=V, mode=mode, r_max=5.0), path)
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_huge_finite_factors_are_corruption(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "model.pbmf"
-        save_model(FactorModel(U=rng.random((30, 4)) * 1e160, V=rng.random((20, 4)) * 1e160,
-                               r_max=5.0), path)
+        huge = FactorModel(U=rng.random((30, 4)) * 1e160, V=rng.random((20, 4)) * 1e160, r_max=5.0)
+        with pytest.raises(ValueError, match="magnitude above 2"):
+            save_model(huge, path)
+        write_model_file(huge, path)
         with pytest.raises(ValueError, match="magnitude above 2"):
             load_model(path)
 

@@ -2,16 +2,17 @@
 against one SGD step at a time, `items_by_user` against a grouping in file
 order, `split` against a set-based filter of the held-out rows, `top_k`
 against a plain `sorted` and a full stable `argsort`, also across many
-blocks, the score rows the scorers serve from blocks against one user's
-row at a time (a model's within its bound), a model's top-k lists against
-those of its exact rows, also under any rows within the bound, every
-scorer's index checks against the one index rule and
-its unchecked hook, the Matthew degree against its formula, the rating-file writer
-against the loader, both loaders against a row-by-row reference, the
-MovieLens loader against a line-by-line one on drawn raw lines and on drawn
-digit-only files, on both sides of its numpy step's guard, the two loaders
-against each other on the `::` and `,` spellings of one drawn file, and the
-CLI against drawn rating and config files and drawn argv lists."""
+blocks and with exclusions of mixed integer types, the score rows the
+scorers serve from blocks against one user's row at a time (a model's
+within its bound), a model's top-k lists against those of its exact rows,
+also under any rows within the bound, every scorer's index checks against
+the one index rule and its unchecked hook, the Matthew degree against its
+formula, the rating-file writer against the loader, both loaders against a
+row-by-row reference, the MovieLens loader against a line-by-line one on
+drawn raw lines and on drawn digit-only files, on both sides of its numpy
+step's guard, the two loaders against each other on the `::` and `,`
+spellings of one drawn file, and the CLI against drawn rating and config
+files and drawn argv lists."""
 
 import contextlib
 import functools
@@ -249,6 +250,60 @@ def assert_stable_argsort_lists(lists, rows, exclude, k_top):
 def test_top_k_in_blocks_matches_stable_argsort(case):
     rows, exclude, k_top, block_rows = case
     with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * rows.shape[1]):
+        lists = top_k(RowScorer(rows), k_top, exclude=exclude)
+    assert_stable_argsort_lists(lists, rows, exclude, k_top)
+
+
+EXCLUSION_TYPES = [np.int64, np.uint64, np.int32, np.uint8, list]
+
+
+@st.composite
+def mixed_exclusion_cases(draw):
+    """A `ranking_blocks` case whose users' exclusions each take a type of
+    EXCLUSION_TYPES, mixed within the call, and a few calls with one
+    exclusion of -1 (not for the unsigned types), m or m + 1; whether the
+    rows are ranked in blocks or one at a time."""
+    rows, _, k_top, block_rows = draw(ranking_blocks())
+    n, m = rows.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = rng.integers(0, len(EXCLUSION_TYPES), n)
+    exclude = [np.flatnonzero(rng.random(m) < share).tolist()
+               for share in rng.choice([0.0, 0.1, 0.5, 1.0], n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        signed = EXCLUSION_TYPES[kinds[i]] in (np.int64, np.int32, list)
+        exclude[i].append(draw(st.sampled_from([m, m + 1] + [-1] * signed)))
+    exclude = [e if EXCLUSION_TYPES[kind] is list else np.array(e, EXCLUSION_TYPES[kind])
+               for e, kind in zip(exclude, kinds)]
+    return rows, exclude, k_top, block_rows, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mixed_exclusion_cases())
+@example(case=(np.arange(36.0).reshape(3, 12), [np.array([1]), np.array([], np.int64),
+                                                 np.array([2], np.uint64)], 2, 1, True))
+@example(case=(np.arange(36.0).reshape(3, 12), [np.array([1]), np.array([], np.int64),
+                                                 np.array([12], np.uint64)], 2, 1, True))
+@example(case=(np.arange(36.0).reshape(3, 12), [[-1], np.array([], np.int64),
+                                                 np.array([3], np.uint64)], 2, 3, False))
+@example(case=(np.arange(36.0).reshape(3, 12), [np.array([4], np.int32), [5],
+                                                 np.array([6], np.uint8)], 3, 2, True))
+@example(case=(np.arange(36.0).reshape(3, 12), [np.array([1]), np.array([2**63 + 5], np.uint64),
+                                                 [2]], 2, 3, True))
+def test_top_k_takes_exclusions_of_mixed_integer_types(case):
+    # int64, uint64, int32, uint8 and Python lists within one call, signed
+    # next to unsigned, which numpy joins into float64: the lists of a stable
+    # argsort, and an exclusion outside [0, m) named as an integer, also one
+    # past 2**63 that a cast to intp would wrap.
+    rows, exclude, k_top, block_rows, in_blocks = case
+    m = rows.shape[1]
+    with mock.patch.object(model_module, "RANK_BLOCK_BYTES", block_rows * 8 * m), \
+            mock.patch.object(model_module, "BLOCK_RANK_MAX_M", m if in_blocks else 0):
+        flat = np.array([j for e in exclude for j in np.ravel(e).tolist()], dtype=object)
+        if out_of_range(flat, m):
+            assert_index_error(lambda: top_k(RowScorer(rows), k_top, exclude=exclude), "item",
+                               flat, m)
+            return
         lists = top_k(RowScorer(rows), k_top, exclude=exclude)
     assert_stable_argsort_lists(lists, rows, exclude, k_top)
 

@@ -7,6 +7,7 @@ bit, and the writer byte for byte.
 """
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pbmf.data import RatingsDataset, load_movielens  # noqa: E402
-from pbmf.synthetic import write_movielens_file, zipf_popularity_dataset  # noqa: E402
+from pbmf.synthetic import (  # noqa: E402
+    WRITE_BLOCK_ROWS, write_movielens_file, zipf_popularity_dataset)
 
 from conftest import DATA_DIR, make_dataset  # noqa: E402
 
@@ -195,6 +197,56 @@ def test_writer_rounds_half_to_even(tmp_path):
     write_movielens_file(dataset, tmp_path / "r.dat")
     assert [line.split("::")[2] for line in (tmp_path / "r.dat").read_text().splitlines()] \
         == ["0", "2", "2", "4", "4", "0"]
+
+
+# Ratings whose rounding or spelling a writer may get wrong: ties, which round
+# half to even, -0.4 and -0.0 (written 0), and large magnitudes up to the
+# largest double under 2**63.
+EDGE_RATINGS = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 4.5, -0.4, -0.0, 0.49999999999999994, 1e18,
+                -1e18, 2.0**52 + 1, 2.0**53 + 2, 2.0**63 - 1024, -(2.0**63 - 1024)]
+
+
+@st.composite
+def writer_cases(draw):
+    """Row counts at and around the edges of blocks and of 1,024 rows, or
+    any up to 3,100; ids up to 2**62; ratings uniform, at ties x.5 of either
+    sign, scaled up to 1e18, and with EDGE_RATINGS at drawn rows."""
+    edges = [WRITE_BLOCK_ROWS, 2 * WRITE_BLOCK_ROWS, 1024, 2048, 3072]
+    count = draw(st.sampled_from([0, 1] + [edge + d for edge in edges for d in (-1, 0, 1)])
+                 | st.integers(0, 3100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([40, 70_000, 2**31, 2**62]))
+    ratings = rng.uniform(-6.0, 6.0, count) * draw(st.sampled_from([1.0, 1e6, 1e18]))
+    ties = rng.random(count) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    ratings[ties] = rng.integers(-6, 6, np.count_nonzero(ties)) + 0.5
+    if count:
+        for row, value in draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                                  st.sampled_from(EDGE_RATINGS)), max_size=12)):
+            ratings[row] = value
+    return RatingsDataset(users=rng.integers(0, top, count), items=rng.integers(0, top, count),
+                          ratings=ratings, n=top, m=top, r_max=5.0, user_map={}, item_map={})
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=writer_cases())
+@example(dataset=make_dataset([0] * len(EDGE_RATINGS), range(len(EDGE_RATINGS)), EDGE_RATINGS))
+def test_writer_matches_the_line_loop_on_drawn_rows(dataset, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("writer")
+    write_movielens_file(dataset, tmp_path / "got.dat")
+    oracle_write(dataset, tmp_path / "want.dat")
+    assert (tmp_path / "got.dat").read_bytes() == (tmp_path / "want.dat").read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0**63, -2.0**63, 1e300])
+@pytest.mark.parametrize("row", [0, 1023, 1500])
+def test_writer_names_the_row_of_a_rating_no_integer_holds(value, row, tmp_path):
+    dataset = _rows(2000)
+    ratings = dataset.ratings.copy()
+    ratings[row] = value
+    bad = make_dataset(dataset.users, dataset.items, ratings, n=dataset.n, m=dataset.m)
+    with pytest.raises(ValueError, match=rf"^row {row}: rating {re.escape(str(value))} is not "
+                                         r"a finite number under 2\*\*63 in magnitude$"):
+        write_movielens_file(bad, tmp_path / "bad.dat")
 
 
 def test_writer_matches_the_line_loop_on_a_loaded_file(tmp_path):
